@@ -48,6 +48,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, complex):
         if value.imag == 0:
@@ -288,11 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
-    common.add_argument("--cache", metavar="FILE", default=None)
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker processes (default ${scan.THREADS_ENV} or 1)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="offset for the deterministic factorization seed")
     common.add_argument("--tolerance", type=float, default=None,
                         help="quadrature/series absolute tolerance override")
 
@@ -375,6 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated constant terms from {-1,1}")
     p.add_argument("--all-m", action="store_true",
                    help="include m with gcd(m, n) > 1")
+    p.add_argument("--cache", metavar="FILE", default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help=f"worker processes (default ${scan.THREADS_ENV} or 1)")
 
     p = add("converge", _cmd_converge, help="measure vs limit along a degree sequence")
     p.add_argument("--a", type=_num, required=True)
@@ -393,11 +401,10 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    factor.set_edf_seed_offset(args.seed)
     out = _Output(args)
     out.config.update(command=args.command)
     for key in ("n", "m", "a", "b", "n_max", "method", "family", "m_rule",
-                "threads", "seed", "tolerance"):
+                "threads", "tolerance"):
         if hasattr(args, key) and getattr(args, key) is not None:
             out.config[key] = getattr(args, key)
 

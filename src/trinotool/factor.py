@@ -12,7 +12,10 @@ and the four-condition necessary test for reducibility of A x^n + B x^m + C
 (if none of the conditions holds, the trinomial is irreducible).
 
 Dense polynomials are plain lists of Python ints in ascending degree order
-throughout this module; the public API wraps them in IntPolynomial.
+throughout this module; the public API wraps them in IntPolynomial.  All
+modular work (the GF(p) splitting as well as Hensel lifting mod p^k) runs on
+one (Z/m)[x] kernel: _mod, _mod_mul, _mod_sub, _mod_divmod and _monic, with
+products taken by polycore.dense_mul over Z and reduced once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     GcdNotOne,
     InternalVerificationFailure,
 )
-from .polycore import IntPolynomial
+from .polycore import IntPolynomial, dense_mul
 
 __all__ = [
     "SchinzelReport",
@@ -39,7 +42,6 @@ __all__ = [
     "factorize",
     "is_irreducible",
     "factor_mod_prime",
-    "set_edf_seed_offset",
 ]
 
 
@@ -87,9 +89,13 @@ class FactorizationResult:
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
+    """``factorization`` is set whenever the factorizer ran (certificates
+    "factorizer" and "witness"), so callers need not factor again."""
+
     verdict: str  # "irreducible" | "reducible"
     certificate: str  # "threshold" | "schinzel-none" | "factorizer" | "witness"
     witness: IntPolynomial | None = None
+    factorization: FactorizationResult | None = None
 
     @property
     def reducible(self) -> bool:
@@ -143,24 +149,17 @@ def _deg(c: list[int]) -> int:
     return len(c) - 1
 
 
-def _mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        if ci:
-            for j, cj in enumerate(g):
-                out[i + j] += ci * cj
-    return out
-
-
-def _sub(f: list[int], g: list[int]) -> list[int]:
+def _add(f: list[int], g: list[int]) -> list[int]:
     out = [0] * max(len(f), len(g))
     for i, c in enumerate(f):
         out[i] += c
     for i, c in enumerate(g):
-        out[i] -= c
+        out[i] += c
     return _trim(out)
+
+
+def _sub(f: list[int], g: list[int]) -> list[int]:
+    return _add(f, [-c for c in g])
 
 
 def _divmod_exact(f: list[int], g: list[int]) -> tuple[list[int] | None, list[int]]:
@@ -252,61 +251,55 @@ def _yun_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
 
 
 # ----------------------------------------------------------------------------
-# GF(p)[x] arithmetic (ascending lists of ints in [0, p))
+# (Z/m)[x] arithmetic (ascending lists of ints in [0, m)); GF(p)[x] is m = p.
+# Products and differences are the Z routines followed by one reduction.
 
-def _gf(c: list[int], p: int) -> list[int]:
-    return _trim([x % p for x in c])
-
-
-def _gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        if ci:
-            for j, cj in enumerate(g):
-                out[i + j] = (out[i + j] + ci * cj) % p
-    return _trim(out)
+def _mod(c: list[int], m: int) -> list[int]:
+    return _trim([x % m for x in c])
 
 
-def _gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
+def _mod_mul(f: list[int], g: list[int], m: int) -> list[int]:
+    return _mod(dense_mul(f, g), m)
 
 
-def _gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+def _mod_sub(f: list[int], g: list[int], m: int) -> list[int]:
+    return _mod(_sub(f, g), m)
+
+
+def _mod_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q g + r over Z/m and deg r < deg g.
+
+    g's leading coefficient must be a unit mod m; pow raises ValueError
+    otherwise.
+    """
     if not g:
-        raise ZeroDivisionError
-    inv = pow(g[-1], p - 2, p)
-    r = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
+        raise ZeroDivisionError("division by the zero polynomial")
+    inv = pow(g[-1], -1, m)
+    r = _mod(f, m)
+    q = [0] * max(len(r) - len(g) + 1, 0)
     while r and _deg(r) >= _deg(g):
         shift = _deg(r) - _deg(g)
-        coef = (r[-1] * inv) % p
+        coef = (r[-1] * inv) % m
         q[shift] = coef
         for i, c in enumerate(g):
-            r[shift + i] = (r[shift + i] - coef * c) % p
+            r[shift + i] = (r[shift + i] - coef * c) % m
         _trim(r)
     return _trim(q), r
 
 
-def _gf_monic(f: list[int], p: int) -> list[int]:
+def _monic(f: list[int], m: int) -> list[int]:
+    """f scaled by the inverse of its leading coefficient mod m."""
     if not f:
         return []
-    inv = pow(f[-1], p - 2, p)
-    return [(c * inv) % p for c in f]
+    inv = pow(f[-1], -1, m)
+    return _mod([c * inv for c in f], m)
 
 
 def _gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = list(f), list(g)
+    a, b = f, g
     while b:
-        _, r = _gf_divmod(a, b, p)
-        a, b = b, r
-    return _gf_monic(a, p) if a else []
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _monic(a, p)
 
 
 def _gf_gcdext(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
@@ -315,34 +308,29 @@ def _gf_gcdext(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _mod_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+        s0, s1 = s1, _mod_sub(s0, dense_mul(q, s1), p)
+        t0, t1 = t1, _mod_sub(t0, dense_mul(q, t1), p)
     if not r0:
         return [], s0, t0
-    inv = pow(r0[-1], p - 2, p)
-    scale = lambda c: [(x * inv) % p for x in c]
-    return scale(r0), scale(s0), scale(t0)
+    inv = pow(r0[-1], -1, p)
+    return _monic(r0, p), _mod([x * inv for x in s0], p), _mod([x * inv for x in t0], p)
 
 
 def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     acc = [1]
-    b = _gf_divmod(base, mod, p)[1]
+    b = _mod_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            acc = _gf_divmod(_gf_mul(acc, b, p), mod, p)[1]
-        b = _gf_divmod(_gf_mul(b, b, p), mod, p)[1]
+            acc = _mod_divmod(dense_mul(acc, b), mod, p)[1]
+        b = _mod_divmod(dense_mul(b, b), mod, p)[1]
         e >>= 1
     return acc
 
 
-def _gf_deriv(f: list[int], p: int) -> list[int]:
-    return _trim([(k * f[k]) % p for k in range(1, len(f))])
-
-
 def _gf_is_squarefree(f: list[int], p: int) -> bool:
-    d = _gf_deriv(f, p)
+    d = _mod(_derivative(f), p)
     if not d:
         return _deg(f) == 0
     return _deg(_gf_gcd(f, d, p)) == 0
@@ -363,12 +351,12 @@ def _gf_edf(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
         if 0 < _deg(g) < n:
             break
         w = _gf_pow_mod(u, exponent, f, p)
-        w = _gf_sub(w, [1], p)
+        w = _mod_sub(w, [1], p)
         g = _gf_gcd(w, f, p)
         if 0 < _deg(g) < n:
             break
-    rest = _gf_divmod(f, g, p)[0]
-    return _gf_edf(g, d, p, rng) + _gf_edf(_gf_monic(rest, p), d, p, rng)
+    rest = _mod_divmod(f, g, p)[0]
+    return _gf_edf(g, d, p, rng) + _gf_edf(_monic(rest, p), d, p, rng)
 
 
 def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
@@ -381,30 +369,21 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
     while _deg(v) >= 2 * (d + 1):
         d += 1
         h = _gf_pow_mod(h, p, v, p)
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), v, p)
+        g = _gf_gcd(_mod_sub(h, [0, 1], p), v, p)
         if _deg(g) > 0:
             out.extend(_gf_edf(g, d, p, rng))
-            v = _gf_monic(_gf_divmod(v, g, p)[0], p)
+            v = _monic(_mod_divmod(v, g, p)[0], p)
             if _deg(v) == 0:
                 break
-            h = _gf_divmod(h, v, p)[1]
+            h = _mod_divmod(h, v, p)[1]
     if _deg(v) > 0:
         out.append(v)
     return out
 
 
-_EDF_SEED_OFFSET = 0
-
-
-def set_edf_seed_offset(offset: int) -> None:
-    """Offset the deterministic equal-degree-splitting seed (CLI --seed)."""
-    global _EDF_SEED_OFFSET
-    _EDF_SEED_OFFSET = int(offset)
-
-
 def _edf_rng(f: list[int], p: int) -> Random:
     # stable across processes and runs; identical inputs -> identical splits
-    key = f"{p}:{','.join(map(str, f))}:{_EDF_SEED_OFFSET}".encode()
+    key = f"{p}:{','.join(map(str, f))}".encode()
     return Random(zlib.crc32(key))
 
 
@@ -418,13 +397,13 @@ def factor_mod_prime(poly: IntPolynomial, p: int) -> tuple[int, list[IntPolynomi
     """
     if not _is_prime(p) or p < 5:
         raise ValueError(f"need a prime p >= 5, got {p}")
-    f = _gf(list(poly.coeffs), p)
+    f = _mod(list(poly.coeffs), p)
     if _deg(f) != poly.degree:
         raise ValueError(f"{p} divides the leading coefficient")
     if not _gf_is_squarefree(f, p):
         raise ValueError(f"polynomial is not squarefree mod {p}")
     lc = f[-1]
-    monic = _gf_monic(f, p)
+    monic = _monic(f, p)
     factors = _gf_factor_squarefree(monic, p, _edf_rng(monic, p))
     factors.sort(key=lambda c: (len(c), tuple(c)))
     return lc, [IntPolynomial(tuple(g)) for g in factors]
@@ -433,68 +412,19 @@ def factor_mod_prime(poly: IntPolynomial, p: int) -> tuple[int, list[IntPolynomi
 # ----------------------------------------------------------------------------
 # Hensel lifting
 
-def _mod_poly(f: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in f])
-
-
-def _mod_mul(f: list[int], g: list[int], m: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        if ci:
-            for j, cj in enumerate(g):
-                out[i + j] = (out[i + j] + ci * cj) % m
-    return _trim(out)
-
-
-def _mod_sub(f: list[int], g: list[int], m: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c % m
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % m
-    return _trim(out)
-
-
-def _mod_add(f: list[int], g: list[int], m: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c % m
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % m
-    return _trim(out)
-
-
-def _mod_divmod_monic(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by a monic g over Z/m."""
-    assert g and g[-1] == 1
-    r = [c % m for c in f]
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    _trim(r)
-    while r and _deg(r) >= _deg(g):
-        shift = _deg(r) - _deg(g)
-        coef = r[-1] % m
-        q[shift] = coef
-        for i, c in enumerate(g):
-            r[shift + i] = (r[shift + i] - coef * c) % m
-        _trim(r)
-    return _trim(q), r
-
-
 def _hensel_step(f: list[int], g: list[int], h: list[int],
                  s: list[int], t: list[int], m: int):
     """One quadratic lift: from f = g h (mod m), s g + t h = 1 (mod m), h monic,
     to the same congruences mod m^2 (h stays monic, degrees are preserved)."""
     m2 = m * m
-    e = _mod_sub(f, _mod_mul(g, h, m2), m2)
-    q, r = _mod_divmod_monic(_mod_mul(s, e, m2), h, m2)
-    g2 = _mod_add(g, _mod_add(_mod_mul(t, e, m2), _mod_mul(q, g, m2), m2), m2)
-    h2 = _mod_add(h, r, m2)
-    b = _mod_sub(_mod_add(_mod_mul(s, g2, m2), _mod_mul(t, h2, m2), m2), [1], m2)
-    c, d = _mod_divmod_monic(_mod_mul(s, b, m2), h2, m2)
+    e = _mod_sub(f, dense_mul(g, h), m2)
+    q, r = _mod_divmod(dense_mul(s, e), h, m2)
+    g2 = _mod(_add(g, _add(dense_mul(t, e), dense_mul(q, g))), m2)
+    h2 = _mod(_add(h, r), m2)
+    b = _mod_sub(_add(dense_mul(s, g2), dense_mul(t, h2)), [1], m2)
+    c, d = _mod_divmod(dense_mul(s, b), h2, m2)
     s2 = _mod_sub(s, d, m2)
-    t2 = _mod_sub(_mod_sub(t, _mod_mul(t, b, m2), m2), _mod_mul(c, g2, m2), m2)
+    t2 = _mod_sub(t, _add(dense_mul(t, b), dense_mul(c, g2)), m2)
     return g2, h2, s2, t2
 
 
@@ -502,8 +432,7 @@ def _lift_pair(f: list[int], hbar: list[int], p: int, target: int) -> tuple[list
     """Lift f = gbar * hbar (mod p), hbar monic, to modulus >= target.
 
     Returns (cofactor g, monic factor h, modulus)."""
-    fp = _gf(f, p)
-    gbar, rem = _gf_divmod(fp, hbar, p)
+    gbar, rem = _mod_divmod(f, hbar, p)
     assert not rem, "hbar must divide f mod p"
     _, s, t = _gf_gcdext(gbar, hbar, p)
     g, h = gbar, hbar
@@ -528,8 +457,7 @@ def _lift_factorization(f: list[int], monic_factors: list[list[int]],
         lifted.append(h)
         current = g
     # the last cofactor is lc * (last monic factor) mod modulus
-    lc_inv = pow(current[-1], -1, modulus)
-    lifted.append(_mod_poly([c * lc_inv for c in current], modulus))
+    lifted.append(_monic(current, modulus))
     return lifted, modulus
 
 
@@ -549,7 +477,7 @@ def _mignotte_bound(f: list[int]) -> int:
 def _choose_prime(f: list[int]) -> int:
     p = 5
     while True:
-        if _is_prime(p) and f[-1] % p != 0 and _gf_is_squarefree(_gf(f, p), p):
+        if _is_prime(p) and f[-1] % p != 0 and _gf_is_squarefree(_mod(f, p), p):
             return p
         p += 2
 
@@ -560,8 +488,7 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     if _deg(f) == 1:
         return [list(f)]
     p = _choose_prime(f)
-    fp = _gf(f, p)
-    monic = _gf_monic(fp, p)
+    monic = _monic(_mod(f, p), p)
     modular = _gf_factor_squarefree(monic, p, _edf_rng(monic, p))
     modular.sort(key=lambda c: (len(c), tuple(c)))
     if len(modular) == 1:
@@ -766,10 +693,11 @@ def is_irreducible(poly: IntPolynomial) -> IrreducibilityVerdict:
 
     result = factorize(poly)
     if result.is_irreducible:
-        return IrreducibilityVerdict(verdict="irreducible", certificate="factorizer")
+        return IrreducibilityVerdict(verdict="irreducible", certificate="factorizer",
+                                     factorization=result)
     witness = result.factors[0][0]
     q, r = _divmod_exact(list(poly.coeffs), list(witness.coeffs))
     if q is None or r:
         raise InternalVerificationFailure("witness does not divide the input")
     return IrreducibilityVerdict(verdict="reducible", certificate="witness",
-                                 witness=witness)
+                                 witness=witness, factorization=result)

@@ -34,6 +34,7 @@ __all__ = [
     "LimitCase",
     "SeriesTerm",
     "measure_from_roots",
+    "measure_from_root_set",
     "measure_jensen",
     "house",
     "limit_case",
@@ -85,15 +86,15 @@ class SeriesTerm:
     i_k: complex | None = None
 
 
-def _root_set(p: Union[TrinomialSpec, IntPolynomial], config: RootConfig) -> RootSet:
-    return polycore.all_roots(p, config)
-
-
 def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial],
                        config: RootConfig = RootConfig()) -> MeasureResult:
     """M(P) = |leading| * prod max(1, |root|) from a certified root set."""
     lead = abs(p.coeffs[-1]) if isinstance(p, IntPolynomial) else 1.0
-    rs = _root_set(p, config)
+    return measure_from_root_set(polycore.all_roots(p, config), lead)
+
+
+def measure_from_root_set(rs: RootSet, lead: float = 1.0) -> MeasureResult:
+    """M(P) from an already solved root set of P, |leading coefficient| = lead."""
     log_value = math.log(lead)
     for r in rs.roots:
         mod = abs(r)
@@ -111,7 +112,7 @@ def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial],
 def house(p: Union[TrinomialSpec, IntPolynomial],
           config: RootConfig = RootConfig()) -> float:
     """Largest root modulus."""
-    return _root_set(p, config).max_modulus()
+    return polycore.all_roots(p, config).max_modulus()
 
 
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:

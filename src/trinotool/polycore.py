@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -144,6 +144,22 @@ class FamilyForm:
         return x**self.m * (x ** (self.n - self.m) + sa * self.a) + sb
 
 
+def dense_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Product of two ascending integer coefficient sequences over Z.
+
+    The package's one dense product: IntPolynomial.__mul__ and the modular
+    arithmetic of the factorizer (which reduces the result) both call it.
+    """
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, ci in enumerate(f):
+        if ci:
+            for j, cj in enumerate(g):
+                out[i + j] += ci * cj
+    return out
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial, coefficients ascending, trimmed."""
@@ -187,14 +203,7 @@ class IntPolynomial:
             if len(self.coeffs) > 1 else IntPolynomial(())
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(tuple(dense_mul(self.coeffs, other.coeffs)))
 
     def nonzero_terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs for nonzero coefficients."""

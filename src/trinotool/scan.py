@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
-from . import factor, mahler
+from . import factor, mahler, polycore
 from .polycore import TrinomialSpec, to_dense
 
 __all__ = [
@@ -88,15 +88,16 @@ def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
         spec = TrinomialSpec(n, m, a, b)
         dense = to_dense(spec)
         verdict = factor.is_irreducible(dense)
-        if verdict.reducible:
+        if verdict.factorization is not None:
             degrees = tuple(
-                sorted(p.degree for p, mult in factor.factorize(dense).factors
+                sorted(p.degree for p, mult in verdict.factorization.factors
                        for _ in range(mult))
             )
         else:
             degrees = (n,)
-        measure = mahler.measure_from_roots(spec).value
-        hse = mahler.house(spec)
+        roots = polycore.all_roots(spec)
+        measure = mahler.measure_from_root_set(roots).value
+        hse = roots.max_modulus()
         return ScanRecord(
             n=n, m=m, a=a, b=b,
             reducible=verdict.reducible,
@@ -195,14 +196,17 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
 
     All completed records, including irreducible ones, are appended to the
     cache file when one is given; a rerun with the same cache skips finished
-    cells and reproduces the same record set.
+    cells and reproduces the same record set.  ``threads`` is the number of
+    worker processes (>= 1); None reads $TRINOTOOL_THREADS.
     """
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     items = _work_items(n_max, a_values, signs, coprime_only)
     cached = _load_cache(cache_path) if cache_path else {}
     pending = [it for it in items if it not in cached]
 
     records: dict[tuple[int, int, int, int], ScanRecord] = dict(cached)
-    threads = threads or default_threads()
 
     cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
     try:

@@ -5,6 +5,9 @@ import pytest
 from conftest import coprime_pairs
 from trinotool.errors import CoprimalityViolated, GcdNotOne
 from trinotool.factor import (
+    _mod,
+    _mod_divmod,
+    _mod_mul,
     factor_mod_prime,
     factorize,
     integer_kth_root,
@@ -12,7 +15,7 @@ from trinotool.factor import (
     schinzel_conditions,
     threshold_irreducible,
 )
-from trinotool.polycore import IntPolynomial, TrinomialSpec, to_dense
+from trinotool.polycore import IntPolynomial, TrinomialSpec, dense_mul, to_dense
 
 
 def tri(n, m, a, b):
@@ -152,6 +155,57 @@ def test_factorize_deterministic_and_ordered():
     assert keyed == sorted(keyed)
 
 
+# -------------------------------------------------------- (Z/m)[x] kernel
+
+def _poly_sum(*terms):
+    """Coefficient-wise sum of signed (sign, coefficients) terms over Z."""
+    out = [0] * max(len(c) for _, c in terms)
+    for sign, c in terms:
+        for i, x in enumerate(c):
+            out[i] += sign * x
+    return out
+
+
+def _eval_mod(c, x, m):
+    acc = 0
+    for coef in reversed(c):
+        acc = (acc * x + coef) % m
+    return acc
+
+
+@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("k", [1, 4])
+def test_mod_divmod_identity(rng, p, k):
+    m = p**k
+    for lead in (1, 2, p - 1, p + 3):  # monic, then non-monic unit leads
+        for _ in range(20):
+            g = [rng.randrange(m) for _ in range(rng.randint(0, 6))] + [lead]
+            f = [rng.randrange(-m, m) for _ in range(rng.randint(0, 14))]
+            q, r = _mod_divmod(f, g, m)
+            assert _mod(_poly_sum((1, dense_mul(q, g)), (1, r), (-1, f)), m) == []
+            assert len(r) < len(g)
+            assert all(0 <= c < m for c in q + r)
+
+
+def test_mod_divmod_rejects_non_unit_lead():
+    with pytest.raises(ValueError):
+        _mod_divmod([1, 2, 3, 4], [1, 7], 7**4)
+    with pytest.raises(ZeroDivisionError):
+        _mod_divmod([1, 2], [], 7)
+
+
+@pytest.mark.parametrize("m", [7, 7**4])
+def test_mod_mul_is_reduced_z_product(rng, m):
+    for _ in range(30):
+        f = [rng.randrange(-m, m) for _ in range(rng.randint(0, 9))]
+        g = [rng.randrange(-m, m) for _ in range(rng.randint(0, 9))]
+        prod = _mod_mul(f, g, m)
+        assert prod == _mod(dense_mul(f, g), m)
+        # independent of the kernel: (f g)(x) = f(x) g(x) mod m
+        for x in range(-3, 4):
+            assert _eval_mod(prod, x, m) == _eval_mod(f, x, m) * _eval_mod(g, x, m) % m
+
+
 # -------------------------------------------------------- is_irreducible
 
 def test_is_irreducible_examples():
@@ -161,7 +215,10 @@ def test_is_irreducible_examples():
     # witness divides the input: re-multiply the cofactor
     quotient = factorize(tri(14, 5, 4, -1))
     assert quotient.expand() == tri(14, 5, 4, -1)
+    # the verdict carries the factorization it was decided by
+    assert v.factorization == quotient
     assert is_irreducible(tri(5, 2, 9, 1)).certificate == "threshold"
+    assert is_irreducible(tri(5, 2, 9, 1)).factorization is None
 
 
 def test_is_irreducible_requires_primitive():

@@ -55,6 +55,12 @@ def test_scan_rejects_bad_input():
         scan_conjecture(5, [3], signs=[2])
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_scan_rejects_nonpositive_threads(threads):
+    with pytest.raises(ValueError):
+        scan_conjecture(5, [3], threads=threads)
+
+
 def test_scan_thread_counts_agree():
     one = scan_conjecture(9, [-3, 3], threads=1)
     many = scan_conjecture(9, [-3, 3], threads=4)
@@ -216,6 +222,24 @@ def test_cli_exit_codes(tmp_path):
     assert cli_dispatch(["nope"]) == 2
     # missing required option
     assert cli_dispatch(["scan", "--a", "3"]) == 2
+
+
+def test_cli_seed_flag_removed():
+    assert cli_dispatch(["house", "3", "1", "-2", "-1", "--seed", "1"]) == 2
+    assert cli_dispatch(["scan", "--n-max", "5", "--a", "3", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_cli_scan_threads_must_be_positive(value, tmp_path):
+    out = tmp_path / "scan.jsonl"
+    assert cli_dispatch(["scan", "--n-max", "5", "--a", "3", "--threads", value,
+                         "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--cache", "c.jsonl"]])
+def test_cli_scan_flags_are_scan_only(flag):
+    assert cli_dispatch(["house", "3", "1", "-2", "-1", *flag]) == 2
 
 
 def test_cli_env_thread_default(tmp_path, monkeypatch):
