@@ -15,7 +15,11 @@ Dense polynomials are plain lists of Python ints in ascending degree order
 throughout this module; the public API wraps them in IntPolynomial.  All
 modular work (the GF(p) splitting as well as Hensel lifting mod p^k) runs on
 one (Z/m)[x] kernel: _mod, _mod_mul, _mod_sub, _mod_divmod and _monic, with
-products taken by polycore.dense_mul over Z and reduced once.
+products taken by polycore.dense_mul over Z (one big-int product by Kronecker
+substitution) and reduced once.  _mod_divmod subtracts only the divisor's
+nonzero terms, and the distinct-degree split keeps x^(p^d) reduced modulo the
+input polynomial, a sparse trinomial for scan inputs, rather than modulo the
+shrinking cofactor, so its Frobenius powers reduce in O(deg) per product.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, isqrt, log
+from math import exp, gcd, isqrt, log, log1p
 from random import Random
 
 from .errors import (
@@ -124,12 +128,13 @@ def integer_kth_root(x: int, k: int) -> tuple[int, bool]:
         raise ValueError("need x >= 0 and k >= 1")
     if x in (0, 1) or k == 1:
         return x, True
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r, r**k == x
+    # exact integer Newton iteration, decreasing from 2^ceil(bits/k) > root
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r, r**k == x
+        r = s
 
 
 def _is_kth_power(x: int, k: int) -> bool:
@@ -270,21 +275,25 @@ def _mod_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int
     """(q, r) with f = q g + r over Z/m and deg r < deg g.
 
     g's leading coefficient must be a unit mod m; pow raises ValueError
-    otherwise.
+    otherwise.  One pass from the top: only g's nonzero lower terms are
+    subtracted, and a coefficient is reduced mod m only where it becomes the
+    next quotient coefficient, plus once at the end, so dividing by a sparse
+    g (the input trinomial) costs O(deg f) rather than O(deg f * deg g).
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     inv = pow(g[-1], -1, m)
-    r = _mod(f, m)
-    q = [0] * max(len(r) - len(g) + 1, 0)
-    while r and _deg(r) >= _deg(g):
-        shift = _deg(r) - _deg(g)
-        coef = (r[-1] * inv) % m
-        q[shift] = coef
-        for i, c in enumerate(g):
-            r[shift + i] = (r[shift + i] - coef * c) % m
-        _trim(r)
-    return _trim(q), r
+    dg = len(g) - 1
+    lower = [(i, c) for i, c in enumerate(g[:-1]) if c]
+    r = list(f)
+    q = [0] * max(len(r) - dg, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = r[shift + dg] * inv % m
+        if coef:
+            q[shift] = coef
+            for i, c in lower:
+                r[shift + i] -= coef * c
+    return _trim(q), _mod(r[:dg], m)
 
 
 def _monic(f: list[int], m: int) -> list[int]:
@@ -319,13 +328,15 @@ def _gf_gcdext(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]
 
 
 def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    acc = [1]
+    """base^e modulo mod over GF(p) for e >= 1, by left-to-right binary
+    powering: one squaring per bit of e after the first and one product by
+    base per further set bit (x^5 takes three products)."""
     b = _mod_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
+    acc = b
+    for bit in bin(e)[3:]:
+        acc = _mod_divmod(dense_mul(acc, acc), mod, p)[1]
+        if bit == "1":
             acc = _mod_divmod(dense_mul(acc, b), mod, p)[1]
-        b = _mod_divmod(dense_mul(b, b), mod, p)[1]
-        e >>= 1
     return acc
 
 
@@ -361,21 +372,24 @@ def _gf_edf(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
 
 def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
     """Monic irreducible factors of a squarefree monic f via distinct-degree
-    splitting followed by equal-degree splitting."""
+    splitting followed by equal-degree splitting.
+
+    h = x^(p^d) is kept reduced modulo f itself, which stays sparse when f is
+    a trinomial, and not modulo the shrinking cofactor v: since v divides f,
+    gcd(h - x, v) is the same either way."""
     out: list[list[int]] = []
     h = [0, 1]  # x
     v = list(f)
     d = 0
     while _deg(v) >= 2 * (d + 1):
         d += 1
-        h = _gf_pow_mod(h, p, v, p)
+        h = _gf_pow_mod(h, p, f, p)
         g = _gf_gcd(_mod_sub(h, [0, 1], p), v, p)
         if _deg(g) > 0:
             out.extend(_gf_edf(g, d, p, rng))
             v = _monic(_mod_divmod(v, g, p)[0], p)
             if _deg(v) == 0:
                 break
-            h = _mod_divmod(h, v, p)[1]
     if _deg(v) > 0:
         out.append(v)
     return out
@@ -433,7 +447,8 @@ def _lift_pair(f: list[int], hbar: list[int], p: int, target: int) -> tuple[list
 
     Returns (cofactor g, monic factor h, modulus)."""
     gbar, rem = _mod_divmod(f, hbar, p)
-    assert not rem, "hbar must divide f mod p"
+    if rem:
+        raise InternalVerificationFailure(f"hbar does not divide f mod {p}")
     _, s, t = _gf_gcdext(gbar, hbar, p)
     g, h = gbar, hbar
     m = p
@@ -614,9 +629,11 @@ def schinzel_conditions(A: int, B: int, C: int, n: int, m: int) -> SchinzelRepor
             if _is_prime(q) and n1 % q == 0
         )
         if root_ok:
+            # aB <= bound + 1e-9 (1 + bound) with bound = w/log(w) aA^(m/n)
+            # aC^((n-m)/n), compared in logs so that no huge int meets a float
             w = 2 * m1 * (n1 - m1)
-            bound = w / log(w) * aA ** (m / n) * aC ** ((n - m) / n)
-            cond_b = aB <= bound + 1e-9 * (1.0 + abs(bound))
+            log_bound = log(w / log(w)) + (m / n) * log(aA) + ((n - m) / n) * log(aC)
+            cond_b = log(aB) <= log_bound + log1p(1e-9 * (1.0 + exp(-log_bound)))
 
     cond_c = False
     qs = [q for q in range(2, g + 1) if g % q == 0 and (_is_prime(q) or q == 4)]

@@ -149,15 +149,32 @@ def dense_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
     The package's one dense product: IntPolynomial.__mul__ and the modular
     arithmetic of the factorizer (which reduces the result) both call it.
+
+    Computed by Kronecker substitution: each operand is packed into one
+    Python int as its value at x = 2^k, the two ints are multiplied once (in
+    C), and the product is unpacked with signed borrow.  k is a whole number
+    of bytes at least bits(max|f|) + bits(max|g|) + bits(min(len f, len g))
+    + 1, so every product coefficient c satisfies |c| < 2^(k-1); adding
+    2^(k-1) to each k-bit digit then makes every digit nonnegative and
+    absorbs the borrows, and the digits are read back as bytes.  The result
+    has exactly len(f) + len(g) - 1 entries, untrimmed inputs included.
     """
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        if ci:
-            for j, cj in enumerate(g):
-                out[i + j] += ci * cj
-    return out
+    n = len(f) + len(g) - 1
+    width = (max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length()
+             + min(len(f), len(g)).bit_length() + 8) >> 3  # bytes, rounded up
+    k = width << 3
+    packed_f = packed_g = 0
+    for c in reversed(f):
+        packed_f = (packed_f << k) + c
+    for c in reversed(g):
+        packed_g = (packed_g << k) + c
+    half = 1 << (k - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # 2^(k-1) per digit
+    data = (packed_f * packed_g + bias).to_bytes(width * n, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from conftest import coprime_pairs
-from trinotool.errors import CoprimalityViolated, GcdNotOne
+from trinotool.errors import CoprimalityViolated, GcdNotOne, InternalVerificationFailure
 from trinotool.factor import (
+    _gf_pow_mod,
+    _lift_pair,
     _mod,
     _mod_divmod,
     _mod_mul,
@@ -32,6 +34,16 @@ def test_integer_kth_root():
     big = 123456789**7
     assert integer_kth_root(big, 7) == (123456789, True)
     assert integer_kth_root(big - 1, 7) == (123456788, False)
+    # beyond float range: exact integer arithmetic, no OverflowError
+    assert integer_kth_root(10**400, 2) == (10**200, True)
+    assert integer_kth_root(10**400 - 1, 2) == (10**200 - 1, False)
+    assert integer_kth_root(10**400, 5) == (10**80, True)
+    assert integer_kth_root(3**1001, 7) == (3**143, True)
+    assert integer_kth_root(3**1001 + 1, 7) == (3**143, False)
+    # k much larger than the bit length of x
+    assert integer_kth_root(3, 100) == (1, False)
+    assert integer_kth_root(2**100, 100) == (2, True)
+    assert integer_kth_root(2**100 - 1, 100) == (1, False)
 
 
 # -------------------------------------------------------- schinzel conditions
@@ -60,6 +72,15 @@ def test_schinzel_cond_c_via_common_factor():
 def test_schinzel_gcd_not_one():
     with pytest.raises(GcdNotOne):
         schinzel_conditions(2, 4, 2, 5, 2)
+
+
+def test_schinzel_huge_coefficient_condition_b():
+    # 10^400 = (10^80)^5 enables (b), whose bound 10^160 w/log w is far
+    # beyond float range on the way; it must still be evaluated
+    r = schinzel_conditions(10**400, 3, 1, 5, 2)
+    assert r.cond_a and r.cond_b
+    r = schinzel_conditions(1, 10**400, 10**400 - 1, 5, 2)  # 10^400 - 1 is no 5th power
+    assert not r.cond_b
 
 
 def test_schinzel_cond_c_sign_clause():
@@ -157,6 +178,41 @@ def test_factorize_deterministic_and_ordered():
 
 # -------------------------------------------------------- (Z/m)[x] kernel
 
+def _schoolbook(f, g):
+    """Reference Z product by the nested loop, independent of dense_mul."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_dense_mul_matches_schoolbook(rng):
+    assert dense_mul([], [1, 2]) == [] and dense_mul([3], []) == [] and dense_mul([], []) == []
+    for bound in (1, 9, 2**63, 2**64 + 5, 10**300):
+        for _ in range(40):
+            f = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 30))]
+            g = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 30))]
+            if rng.random() < 0.3:
+                f += [0] * rng.randint(1, 3)  # untrimmed: the length is kept
+            assert dense_mul(f, g) == _schoolbook(f, g), (f, g)
+            assert dense_mul(g, f) == _schoolbook(f, g)
+    # length-1 operands, extreme coefficients of either sign, zero inputs
+    for c in (0, 1, -1, 2**64 - 1, -(2**64), 10**300, -(10**300)):
+        g = [2**64 - 1, -(2**63), 10**300, 0, -1]
+        assert dense_mul([c], g) == [c * x for x in g]
+        assert dense_mul(g, [c]) == [c * x for x in g]
+    assert dense_mul([0, 0], [0, 0, 0]) == [0, 0, 0, 0]
+    # 64 + 64 + bits(255) is a whole number of bytes, so the sign bit is
+    # what forces the next byte: the middle coefficient 255 (2^64 - 1)^2
+    # needs 136 bits without its sign
+    f = [2**64 - 1] * 255
+    for g in (f, [-c for c in f]):
+        assert dense_mul(f, g) == _schoolbook(f, g)
+
+
 def _poly_sum(*terms):
     """Coefficient-wise sum of signed (sign, coefficients) terms over Z."""
     out = [0] * max(len(c) for _, c in terms)
@@ -185,6 +241,26 @@ def test_mod_divmod_identity(rng, p, k):
             assert _mod(_poly_sum((1, dense_mul(q, g)), (1, r), (-1, f)), m) == []
             assert len(r) < len(g)
             assert all(0 <= c < m for c in q + r)
+    # a sparse divisor: the monic trinomial x^n + a x^s + b
+    for _ in range(20):
+        n = rng.randint(2, 40)
+        g = [0] * (n + 1)
+        g[0], g[rng.randint(1, n - 1)], g[n] = rng.randrange(1, m), rng.randrange(1, m), 1
+        f = [rng.randrange(-m, m) for _ in range(rng.randint(0, 3 * n))]
+        q, r = _mod_divmod(f, g, m)
+        assert _mod(_poly_sum((1, dense_mul(q, g)), (1, r), (-1, f)), m) == []
+        assert len(r) < len(g)
+        assert all(0 <= c < m for c in q + r)
+
+
+def test_gf_pow_mod_matches_repeated_products(rng):
+    p = 7
+    for mod in ([3, 0, 0, 5, 0, 0, 0, 1], [rng.randrange(p) for _ in range(9)] + [1]):
+        base = [rng.randrange(p) for _ in range(12)]
+        expected = _mod_divmod(base, mod, p)[1]
+        for e in range(1, 40):
+            assert _gf_pow_mod(base, e, mod, p) == expected, e
+            expected = _mod_divmod(_schoolbook(expected, base), mod, p)[1]
 
 
 def test_mod_divmod_rejects_non_unit_lead():
@@ -219,6 +295,25 @@ def test_is_irreducible_examples():
     assert v.factorization == quotient
     assert is_irreducible(tri(5, 2, 9, 1)).certificate == "threshold"
     assert is_irreducible(tri(5, 2, 9, 1)).factorization is None
+
+
+def test_is_irreducible_huge_coefficients():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = [
+        IntPolynomial((1, 0, 3, 0, 0, 10**400)),  # 10^400 x^5 + 3 x^2 + 1
+        IntPolynomial((10**400 - 1, 0, 0, 1)),
+        # (1 + 10^200 x)(10^150 - x^3), reducible
+        IntPolynomial((10**150, 10**350, 0, -1, -(10**200))),
+    ]
+    for poly in cases:
+        verdict = is_irreducible(poly)
+        expr = sum(c * x**k for k, c in enumerate(poly.coeffs))
+        assert verdict.reducible == (not sympy.Poly(expr, x).is_irreducible), poly.coeffs
+        assert verdict.factorization.expand() == poly
+        mine = sorted(f.degree for f, _ in verdict.factorization.factors)
+        theirs = sorted(int(sympy.degree(f, x)) for f, _ in sympy.factor_list(expr)[1])
+        assert mine == theirs
 
 
 def test_is_irreducible_requires_primitive():
@@ -281,6 +376,33 @@ def test_mod_p_consistency(rng):
                 break
         else:
             continue
+
+
+def test_factor_mod_prime_matches_sympy_degrees(rng):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    checked = 0
+    while checked < 12:
+        n = rng.randint(30, 120)
+        m = rng.randint(1, n - 1)
+        a, b = rng.choice([-4, -3, -2, 2, 3, 4, 5]), rng.choice([-1, 1, 2])
+        poly = tri(n, m, a, b)
+        for p in (5, 7, 11):
+            try:
+                _, factors = factor_mod_prime(poly, p)
+            except ValueError:  # not squarefree mod p
+                continue
+            expr = x**n + a * x**m + b
+            _, theirs = sympy.Poly(expr, x, modulus=p).factor_list()
+            assert sorted(f.degree for f in factors) == sorted(
+                f.degree() for f, mult in theirs for _ in range(mult)), (n, m, a, b, p)
+            checked += 1
+
+
+def test_lift_pair_rejects_non_divisor():
+    # x + 1 does not divide x^2 + 1 mod 7 (remainder 2)
+    with pytest.raises(InternalVerificationFailure):
+        _lift_pair([1, 0, 1], [1, 1], 7, 7**4)
 
 
 def test_factor_mod_prime_validates():

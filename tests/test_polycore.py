@@ -274,6 +274,20 @@ def test_classify_rejects_invalid():
         classify_real_roots(FamilyForm("T", 3, 1, 1.5))  # a < 2
 
 
+def _int_power(xs, k):
+    """xs**k for an integer k >= 1 by repeated squaring on the array; numpy's
+    elementwise power with a general integer exponent is several times slower."""
+    acc = None
+    base = xs
+    while True:
+        if k & 1:
+            acc = base if acc is None else acc * base
+        k >>= 1
+        if not k:
+            return acc
+        base = base * base
+
+
 def test_classify_count_matches_grid_scan():
     # dense sign-change scan over [-1-a, 1+a] as an independent count oracle;
     # a is kept off the a=2 boundary where roots sit exactly at +/-1
@@ -294,7 +308,7 @@ def test_classify_count_matches_grid_scan():
         labelled = classify_real_roots(f)
         xs = np.linspace(-1 - a, 1 + a, 300_000)
         sa, sb = f.signs()
-        vals = xs**f.m * (xs ** (f.n - f.m) + sa * a) + sb
+        vals = _int_power(xs, f.m) * (_int_power(xs, f.n - f.m) + sa * a) + sb
         signs = np.sign(vals)
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
         assert changes == labelled.count, (fam, n, m, a)
