@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import mahler
-from .polycore import FamilyForm, RootConfig
+from .polycore import FamilyForm
 
 __all__ = [
     "HouseBoundReport",
@@ -97,10 +97,10 @@ def _require_bound_input(f: FamilyForm) -> None:
         raise ValueError("bound operations require gcd(m, n) = 1")
 
 
-def house_lower_bound(f: FamilyForm, config: RootConfig = RootConfig()) -> HouseBoundReport:
+def house_lower_bound(f: FamilyForm) -> HouseBoundReport:
     """Closed-form house bound for the family, checked against the computed house."""
     _require_bound_input(f)
-    house = mahler.house(f.as_trinomial(), config)
+    house = mahler.house(f.as_trinomial())
 
     if f.family == "S" and f.m % 2 == 1:
         return HouseBoundReport(
@@ -142,7 +142,7 @@ def comparison_bounds(n: int) -> ComparisonBounds:
     )
 
 
-def check_extremality(f: FamilyForm, config: RootConfig = RootConfig()) -> ExtremalityVerdict:
+def check_extremality(f: FamilyForm) -> ExtremalityVerdict:
     """Compare the computed house against 2^(1/n).
 
     Requires integer a >= 2 and gcd(m, n) = 1.  The verdict is decided from
@@ -151,7 +151,7 @@ def check_extremality(f: FamilyForm, config: RootConfig = RootConfig()) -> Extre
     _require_bound_input(f)
     if not float(f.a).is_integer():
         raise ValueError("extremality check requires integer a")
-    house = mahler.house(f.as_trinomial(), config)
+    house = mahler.house(f.as_trinomial())
     threshold = 2.0 ** (1.0 / f.n)
     certificate = None
     if f.family == "T":

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Output goes to stdout (or --out FILE) as JSON, CSV or text; diagnostics go to
-stderr.  Single-shot commands emit an envelope {tool_version, config, records}
-in JSON mode; scans emit one JSON object per line so they stream and diff
-cleanly.  Exit codes: 0 success, 1 domain error, 2 usage error.
+stderr.  Every subcommand takes --format and --out; --tolerance exists only on
+measure, limit and series, the commands whose quadrature or series reads it.
+Single-shot commands emit an envelope {tool_version, config, records} in JSON
+mode; scans emit one JSON object per line so they stream and diff cleanly.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -48,14 +51,18 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+def _positive(cast):
+    """argparse type: a positive finite number parsed by cast (int or float)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"not a positive finite {cast.__name__}: {text!r}")
+        return value
+    return parse
 
 
 def _jsonable(value):
@@ -122,6 +129,10 @@ def _quad_config(args) -> QuadConfig:
     return QuadConfig()
 
 
+def _series_tol(args) -> float:
+    return args.tolerance if args.tolerance is not None else 1e-12
+
+
 def _measure_record(result: mahler.MeasureResult) -> dict:
     return {
         "method": result.method,
@@ -133,23 +144,20 @@ def _measure_record(result: mahler.MeasureResult) -> dict:
 
 def _cmd_measure(args, out: _Output) -> int:
     spec = TrinomialSpec(args.n, args.m, args.a, args.b)
+    routes = {
+        "roots": lambda: mahler.measure_from_roots(spec),
+        "jensen": lambda: mahler.measure_jensen(spec, _quad_config(args)),
+        "series": lambda: mahler.series_measure(args.n, args.m, args.a, args.b,
+                                                tol=_series_tol(args)),
+    }
     records = []
-    methods = ["roots", "jensen", "series"] if args.method == "all" else [args.method]
-    for method in methods:
-        if method == "roots":
-            records.append(_measure_record(mahler.measure_from_roots(spec)))
-        elif method == "jensen":
-            records.append(_measure_record(mahler.measure_jensen(spec, _quad_config(args))))
-        else:
-            try:
-                tol = args.tolerance if args.tolerance is not None else 1e-12
-                records.append(_measure_record(mahler.series_measure(
-                    args.n, args.m, args.a, args.b, tol=tol)))
-            except TrinotoolError as exc:
-                if args.method != "all":
-                    raise
-                records.append({"method": "series",
-                                "error": f"{type(exc).__name__}: {exc}"})
+    for method in routes if args.method == "all" else [args.method]:
+        try:
+            records.append(_measure_record(routes[method]()))
+        except TrinotoolError as exc:
+            if args.method != "all":
+                raise
+            records.append({"method": method, "error": f"{type(exc).__name__}: {exc}"})
     out.emit(records)
     return 0
 
@@ -213,9 +221,8 @@ def _cmd_limit(args, out: _Output) -> int:
 
 
 def _cmd_series(args, out: _Output) -> int:
-    tol = args.tol if args.tol is not None else (args.tolerance or 1e-12)
     result = mahler.series_measure(args.n, args.m, args.a, args.b,
-                                   tol=tol, k_max=args.kmax)
+                                   tol=_series_tol(args), k_max=args.kmax)
     records = [_measure_record(result)]
     if args.trace:
         records.extend(
@@ -298,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="quadrature/series absolute tolerance override")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=_positive(float), default=None,
+                           help="quadrature/series absolute tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="trinotool",
@@ -308,68 +316,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, func, *parents, **kwargs):
+        # no prefix matching: a removed option must not live on as a prefix
+        p = sub.add_parser(name, parents=[common, *parents], allow_abbrev=False, **kwargs)
         p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(func=func)
         return p
 
-    p = add("measure", _cmd_measure, help="Mahler measure of z^n + a z^m + b")
-    for arg in ("n", "m"):
-        p.add_argument(arg, type=int)
-    for arg in ("a", "b"):
-        p.add_argument(arg, type=_num)
+    def spec_args(p, coeff, coeffs=("a", "b")):
+        """Positional integers n and m, then the coefficients parsed by coeff."""
+        for arg in ("n", "m"):
+            p.add_argument(arg, type=int)
+        for arg in coeffs:
+            p.add_argument(arg, type=coeff)
+
+    p = add("measure", _cmd_measure, tolerance, help="Mahler measure of z^n + a z^m + b")
+    spec_args(p, _num)
     p.add_argument("--method", choices=("roots", "jensen", "series", "all"),
                    default="roots")
 
     p = add("house", _cmd_house, help="largest root modulus")
-    for arg in ("n", "m"):
-        p.add_argument(arg, type=int)
-    for arg in ("a", "b"):
-        p.add_argument(arg, type=_num)
+    spec_args(p, _num)
 
     p = add("roots", _cmd_roots, help="all complex roots")
-    for arg in ("n", "m"):
-        p.add_argument(arg, type=int)
-    for arg in ("a", "b"):
-        p.add_argument(arg, type=_num)
+    spec_args(p, _num)
     p.add_argument("--classify", action="store_true",
                    help="label the real roots of the normalised family form")
 
     p = add("factor", _cmd_factor, help="factor an integer trinomial over Q")
-    for arg in ("n", "m", "a", "b"):
-        p.add_argument(arg, type=int)
+    spec_args(p, int)
 
     p = add("irreducible", _cmd_irreducible, help="irreducibility verdict with certificate")
-    for arg in ("n", "m", "a", "b"):
-        p.add_argument(arg, type=int)
+    spec_args(p, int)
 
-    p = add("limit", _cmd_limit, help="large-n limit of the measure for fixed (a, b)")
+    p = add("limit", _cmd_limit, tolerance,
+            help="large-n limit of the measure for fixed (a, b)")
     for arg in ("a", "b"):
         p.add_argument(arg, type=_num)
 
-    p = add("series", _cmd_series, help="exact-series measure (needs |a|-|b| >= 1)")
-    for arg in ("n", "m"):
-        p.add_argument(arg, type=int)
-    for arg in ("a", "b"):
-        p.add_argument(arg, type=_num)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=10000)
+    p = add("series", _cmd_series, tolerance,
+            help="exact-series measure (needs |a|-|b| >= 1)")
+    spec_args(p, _num)
+    p.add_argument("--kmax", type=_positive(int), default=10000)
     p.add_argument("--trace", action="store_true", help="emit every series term")
 
     p = add("bounds", _cmd_bounds, help="house lower bound report for a family form")
-    for arg in ("n", "m"):
-        p.add_argument(arg, type=int)
-    p.add_argument("a", type=float)
+    spec_args(p, float, ("a",))
     p.add_argument("--family", choices=("R", "S", "T"), required=True)
 
     p = add("compare-bounds", _cmd_compare_bounds, help="literature house constants at degree n")
     p.add_argument("n", type=int)
 
     p = add("extremal", _cmd_extremal, help="extremality verdict for a family form")
-    for arg in ("n", "m"):
-        p.add_argument(arg, type=int)
-    p.add_argument("a", type=float)
+    spec_args(p, float, ("a",))
     p.add_argument("--family", choices=("R", "S", "T"), required=True)
 
     p = add("scan", _cmd_scan, help="reducibility scan over n <= n_max")
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-m", action="store_true",
                    help="include m with gcd(m, n) > 1")
     p.add_argument("--cache", metavar="FILE", default=None)
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=_positive(int), default=None,
                    help=f"worker processes (default ${scan.THREADS_ENV} or 1)")
 
     p = add("converge", _cmd_converge, help="measure vs limit along a degree sequence")

@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import gcd, lgamma
 from typing import Union
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import polycore
 from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
-from .polycore import IntPolynomial, RootConfig, RootSet, TrinomialSpec
-from .quadrature import QuadConfig, integrate
+from .polycore import IntPolynomial, RootSet, TrinomialSpec
+from .quadrature import QuadConfig, QuadResult, integrate
 
 __all__ = [
     "MeasureResult",
@@ -86,11 +87,10 @@ class SeriesTerm:
     i_k: complex | None = None
 
 
-def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial],
-                       config: RootConfig = RootConfig()) -> MeasureResult:
+def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial]) -> MeasureResult:
     """M(P) = |leading| * prod max(1, |root|) from a certified root set."""
     lead = abs(p.coeffs[-1]) if isinstance(p, IntPolynomial) else 1.0
-    return measure_from_root_set(polycore.all_roots(p, config), lead)
+    return measure_from_root_set(polycore.all_roots(p), lead)
 
 
 def measure_from_root_set(rs: RootSet, lead: float = 1.0) -> MeasureResult:
@@ -109,21 +109,33 @@ def measure_from_root_set(rs: RootSet, lead: float = 1.0) -> MeasureResult:
     )
 
 
-def house(p: Union[TrinomialSpec, IntPolynomial],
-          config: RootConfig = RootConfig()) -> float:
+def house(p: Union[TrinomialSpec, IntPolynomial]) -> float:
     """Largest root modulus."""
-    return polycore.all_roots(p, config).max_modulus()
+    return polycore.all_roots(p).max_modulus()
+
+
+def _circle_modulus(spec: TrinomialSpec, t):
+    """|P(e^it)| for P = z^n + a z^m + b, elementwise over the array t."""
+    return np.abs(np.exp(1j * spec.n * t) + spec.a * np.exp(1j * spec.m * t) + spec.b)
+
+
+def _jensen_result(res: QuadResult) -> MeasureResult:
+    """M from a quadrature of log|P| over the unit circle: exp(integral / 2pi)."""
+    log_value = res.value / (2 * math.pi)
+    value = math.exp(log_value)
+    return MeasureResult(
+        value=value,
+        log_value=log_value,
+        method="jensen",
+        error_bound=value * math.expm1(res.error / (2 * math.pi)),
+    )
 
 
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
     """Angles where |P(e^it)| dips toward zero, found by coarse scan plus
     golden-section refinement (independent of the root finder)."""
-    n, m, a, b = spec.n, spec.m, spec.a, spec.b
-
-    def mod(t):
-        return np.abs(np.exp(1j * n * t) + a * np.exp(1j * m * t) + b)
-
-    grid = max(64, 16 * n)
+    mod = partial(_circle_modulus, spec)
+    grid = max(64, 16 * spec.n)
     ts = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
     vals = mod(ts)
     dips = []
@@ -146,7 +158,7 @@ def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
                     x2 = lo + invphi * (hi - lo)
                     f2 = mod(np.array([x2]))[0]
             dips.append(0.5 * (lo + hi) % (2 * math.pi))
-    uniform = np.linspace(0.0, 2 * math.pi, max(9, n + 1))[1:-1]
+    uniform = np.linspace(0.0, 2 * math.pi, max(9, spec.n + 1))[1:-1]
     return tuple(sorted(set(dips) | set(uniform.tolist())))
 
 
@@ -157,22 +169,11 @@ def measure_jensen(spec: TrinomialSpec, config: QuadConfig = QuadConfig()) -> Me
     are located by scanning and made panel breakpoints so the integral stays
     finite.
     """
-    n, m, a, b = spec.n, spec.m, spec.a, spec.b
-
     def integrand(t):
-        w = np.exp(1j * n * t) + a * np.exp(1j * m * t) + b
-        return np.log(np.maximum(np.abs(w), 1e-300))
+        return np.log(np.maximum(_circle_modulus(spec, t), 1e-300))
 
-    res = integrate(integrand, 0.0, 2 * math.pi, config,
-                    breakpoints=_circle_breakpoints(spec))
-    log_value = res.value / (2 * math.pi)
-    value = math.exp(log_value)
-    return MeasureResult(
-        value=value,
-        log_value=log_value,
-        method="jensen",
-        error_bound=value * math.expm1(res.error / (2 * math.pi)),
-    )
+    return _jensen_result(integrate(integrand, 0.0, 2 * math.pi, config,
+                                    breakpoints=_circle_breakpoints(spec)))
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:
@@ -213,15 +214,7 @@ def limit_measure(a: complex, b: complex, config: QuadConfig = QuadConfig()) -> 
     def integrand(t):
         return np.log(np.maximum(c2 + c1 * np.cos(t), 1e-300))
 
-    res = integrate(integrand, 0.0, case.gamma, config)
-    log_value = res.value / (2 * math.pi)
-    value = math.exp(log_value)
-    return MeasureResult(
-        value=value,
-        log_value=log_value,
-        method="jensen",
-        error_bound=value * math.expm1(res.error / (2 * math.pi)),
-    )
+    return _jensen_result(integrate(integrand, 0.0, case.gamma, config))
 
 
 def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:
@@ -267,17 +260,20 @@ def series_measure(n: int, m: int, a: complex, b: complex,
                    tol: float = 1e-12, k_max: int = 10000) -> MeasureResult:
     """Exact-series evaluation of log M, truncated at |term| < tol or k_max.
 
-    Requires gcd(m, n) = 1 and |a| - |b| >= 1.  A persistent envelope ratio
-    >= 1 - 1e-6 over ten consecutive terms raises DivergenceDetected instead
-    of returning a value (the boundary |a| - |b| = 1 can be marginal).
+    Requires gcd(m, n) = 1, |a| - |b| >= 1 and k_max >= 1.  A persistent
+    envelope ratio >= 1 - 1e-6 over ten consecutive terms raises
+    DivergenceDetected instead of returning a value (the boundary
+    |a| - |b| = 1 can be marginal).  A sum cut at k_max before any term ratio
+    was seen has no tail estimate and reports an infinite error bound.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     _check_series_domain(n, m, a, b)
     total = 0.0
     terms: list[SeriesTerm] = []
     prev_env = None
     high_ratio_run = 0
-    last_ratio = 0.0
-    tail = 0.0
+    last_ratio = None
     for k in range(1, k_max + 1):
         env, cosf = _term_parts(k, n, m, a, b)
         sign = -1.0 if (k * n) % 2 else 1.0
@@ -298,12 +294,15 @@ def series_measure(n: int, m: int, a: complex, b: complex,
                 high_ratio_run = 0
         prev_env = env_scaled
         if env_scaled < tol:
-            rho = min(max(last_ratio, 0.0), 0.99)
+            rho = min(max(last_ratio or 0.0, 0.0), 0.99)
             tail = env_scaled * rho / (1.0 - rho)
             break
     else:
-        rho = min(max(last_ratio, 0.0), 0.999999)
-        tail = (prev_env or 0.0) * rho / (1.0 - rho)
+        if last_ratio is None:
+            tail = math.inf
+        else:
+            rho = min(max(last_ratio, 0.0), 0.999999)
+            tail = prev_env * rho / (1.0 - rho)
 
     log_value = math.log(abs(a)) - total
     value = math.exp(log_value)
@@ -317,8 +316,7 @@ def series_measure(n: int, m: int, a: complex, b: complex,
 
 
 def residue_term(k: int, n: int, m: int, a: complex, b: complex,
-                 with_quadrature: bool = False,
-                 config: QuadConfig = QuadConfig()) -> SeriesTerm:
+                 with_quadrature: bool = False) -> SeriesTerm:
     """Closed form of the k-th contour term, optionally with its quadrature oracle.
 
     closed_form = -(1/(2 pi k)) Re(I_k) where I_k = -2 pi * res_at_infinity of
@@ -352,7 +350,7 @@ def residue_term(k: int, n: int, m: int, a: complex, b: complex,
             return np.exp(1j * n * k * t) * (-a * np.exp(1j * m * t) - b) ** (-k)
 
         splits = np.linspace(0.0, 2 * math.pi, max(17, 2 * k * m + 1))[1:-1]
-        res = integrate(integrand, 0.0, 2 * math.pi, config,
+        res = integrate(integrand, 0.0, 2 * math.pi,
                         breakpoints=tuple(splits.tolist()))
         i_k = res.value
 

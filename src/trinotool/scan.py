@@ -14,6 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
@@ -208,25 +209,19 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
 
     records: dict[tuple[int, int, int, int], ScanRecord] = dict(cached)
 
-    cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
-    try:
+    with ExitStack() as stack:
+        cache_fh = (stack.enter_context(open(cache_path, "a", encoding="utf-8"))
+                    if cache_path else None)
         if threads > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for rec in pool.map(compute_scan_record, pending, chunksize=8):
-                    records[rec.key] = rec
-                    if cache_fh:
-                        cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
-                        cache_fh.flush()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            results = pool.map(compute_scan_record, pending, chunksize=8)
         else:
-            for item in pending:
-                rec = compute_scan_record(item)
-                records[rec.key] = rec
-                if cache_fh:
-                    cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
-                    cache_fh.flush()
-    finally:
-        if cache_fh:
-            cache_fh.close()
+            results = map(compute_scan_record, pending)
+        for rec in results:
+            records[rec.key] = rec
+            if cache_fh:
+                cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
+                cache_fh.flush()
 
     wanted = [records[it] for it in items]
     hits = [r for r in wanted if r.reducible or r.error]

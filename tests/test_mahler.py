@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -215,6 +216,20 @@ def test_series_term_envelope_decreasing():
     assert all(x >= y for x, y in zip(mags[2:], mags[3:]))
 
 
+@pytest.mark.parametrize("k_max", [0, -5])
+def test_series_rejects_nonpositive_k_max(k_max):
+    with pytest.raises(ValueError):
+        series_measure(5, 2, 3, 1, k_max=k_max)
+
+
+def test_series_cut_before_any_ratio_has_infinite_bound():
+    # one term gives 3.02479 against a true 3.02378 and no ratio to bound the tail
+    r = series_measure(5, 2, 3, 1, k_max=1)
+    true = measure_from_roots(TrinomialSpec(5, 2, 3, 1)).value
+    assert abs(r.value - true) > 1e-3
+    assert r.error_bound == math.inf
+
+
 # -------------------------------------------------------- residue terms
 
 def test_residue_term_zero_when_m_does_not_divide_k():
@@ -242,6 +257,16 @@ def test_residue_terms_sum_to_series():
     total = sum(residue_term(k, n, m, a, b).closed_form for k in range(1, 41))
     r = series_measure(n, m, a, b)
     assert math.log(abs(a)) + total == pytest.approx(r.log_value, abs=1e-10)
+
+
+def test_config_parameters_only_where_callers_set_them():
+    from trinotool import bounds, polycore, quadrature
+
+    for fn in (measure_from_roots, house, residue_term,
+               bounds.house_lower_bound, bounds.check_extremality):
+        assert "config" not in inspect.signature(fn).parameters, fn.__name__
+    for fn in (polycore.all_roots, measure_jensen, limit_measure, quadrature.integrate):
+        assert "config" in inspect.signature(fn).parameters, fn.__name__
 
 
 # -------------------------------------------------------- global invariants

@@ -242,6 +242,83 @@ def test_cli_scan_flags_are_scan_only(flag):
     assert cli_dispatch(["house", "3", "1", "-2", "-1", *flag]) == 2
 
 
+TOLERANCE_READERS = [
+    ["measure", "5", "2", "3", "1", "--method", "all"],
+    ["limit", "1", "1"],
+    ["series", "5", "2", "3", "1"],
+]
+TOLERANCE_NON_READERS = [
+    ["house", "5", "2", "3", "1"],
+    ["roots", "5", "2", "3", "1"],
+    ["factor", "5", "2", "3", "1"],
+    ["irreducible", "5", "2", "3", "1"],
+    ["bounds", "4", "1", "3", "--family", "R"],
+    ["compare-bounds", "10"],
+    ["extremal", "3", "1", "2", "--family", "T"],
+    ["scan", "--n-max", "5", "--a", "3"],
+    ["converge", "--a", "3", "--b", "1", "--n", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", TOLERANCE_READERS, ids=lambda argv: argv[0])
+def test_cli_tolerance_accepted_where_read(argv, tmp_path):
+    rc, text = run_cli(tmp_path, *argv, "--tolerance", "1e-3", "--format", "json")
+    assert rc == 0
+    assert json.loads(text)["config"]["tolerance"] == 1e-3
+
+
+@pytest.mark.parametrize("argv", TOLERANCE_NON_READERS, ids=lambda argv: argv[0])
+def test_cli_tolerance_rejected_where_not_read(argv, tmp_path):
+    out = tmp_path / "out.txt"
+    assert cli_dispatch([*argv, "--tolerance", "1e-3", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_series_tolerance_reaches_the_sum(tmp_path):
+    def term_rows(*extra):
+        rc, text = run_cli(tmp_path, "series", "5", "2", "3", "1", "--trace",
+                           "--format", "json", *extra)
+        assert rc == 0
+        return len(json.loads(text)["records"]) - 1
+
+    assert 0 < term_rows("--tolerance", "1e-3") < term_rows()
+    # the old series-only --tol is gone, and no prefix of --tolerance stands in
+    assert cli_dispatch(["series", "5", "2", "3", "1", "--tol", "1e-6"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_tolerance_must_be_positive_finite(value):
+    assert cli_dispatch(["measure", "5", "2", "3", "1", "--method", "jensen",
+                         "--tolerance", value]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_series_kmax_must_be_positive(value):
+    assert cli_dispatch(["series", "5", "2", "3", "1", "--kmax", value]) == 2
+
+
+def test_cli_measure_all_reports_each_failed_route(tmp_path, monkeypatch):
+    # z^3 - 3z + 2 = (z-1)^2 (z+2): Jensen exhausts its budget on the double
+    # unit-circle root; a stub raises at once instead of spending that budget
+    from trinotool import mahler
+    from trinotool.errors import QuadratureBudgetExceeded
+
+    def exhausted(spec, config):
+        raise QuadratureBudgetExceeded("quadrature budget exhausted")
+
+    monkeypatch.setattr(mahler, "measure_jensen", exhausted)
+    rc, text = run_cli(tmp_path, "measure", "3", "1", "-3", "2",
+                       "--method", "all", "--format", "json")
+    assert rc == 0
+    roots, jensen, series = json.loads(text)["records"]
+    assert roots["method"] == "roots" and roots["value"] == pytest.approx(2.0)
+    assert jensen["method"] == "jensen"
+    assert jensen["error"].startswith("QuadratureBudgetExceeded")
+    assert series["method"] == "series" and "error" not in series
+    # a single route still fails the command
+    assert cli_dispatch(["measure", "3", "1", "-3", "2", "--method", "jensen"]) == 1
+
+
 def test_cli_env_thread_default(tmp_path, monkeypatch):
     monkeypatch.setenv("TRINOTOOL_THREADS", "2")
     from trinotool.scan import default_threads
