@@ -380,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-m", action="store_true",
                    help="include m with gcd(m, n) > 1")
     p.add_argument("--cache", metavar="FILE", default=None)
-    p.add_argument("--threads", type=_positive(int), default=None,
-                   help=f"worker processes (default ${scan.THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=_positive(int), default=1,
+                   help="worker processes (default 1)")
 
     p = add("converge", _cmd_converge, help="measure vs limit along a degree sequence")
     p.add_argument("--a", type=_num, required=True)

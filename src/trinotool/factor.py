@@ -171,15 +171,15 @@ def _divmod_exact(f: list[int], g: list[int]) -> tuple[list[int] | None, list[in
     """Long division over Z with early exit when a step is not exact."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    r = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
+    r = _trim(list(f))
+    dg = _deg(g)
+    q = [0] * max(len(f) - dg, 0)
     lg = g[-1]
-    while _deg(_trim(r)) >= _deg(g) and r:
-        shift = _deg(r) - _deg(g)
-        lead = r[-1]
-        if lead % lg:
+    while len(r) > dg:
+        coef, rem = divmod(r[-1], lg)
+        if rem:
             return None, r
-        coef = lead // lg
+        shift = len(r) - 1 - dg
         q[shift] = coef
         for i, c in enumerate(g):
             r[shift + i] -= coef * c
@@ -208,27 +208,14 @@ def _derivative(c: list[int]) -> list[int]:
     return _trim([k * c[k] for k in range(1, len(c))])
 
 
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    d = _deg(f) - _deg(g)
-    if d < 0:
-        return list(f)
-    r = [x * g[-1] ** (d + 1) for x in f]
-    lg = g[-1]
-    while r and _deg(r) >= _deg(g):
-        shift = _deg(r) - _deg(g)
-        coef = r[-1] // lg
-        for i, c in enumerate(g):
-            r[shift + i] -= coef * c
-        _trim(r)
-    return r
-
-
 def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
     """Primitive-PRS gcd, returned primitive with positive leading coefficient."""
     a = _primitive(list(f))[1] if f else []
     b = _primitive(list(g))[1] if g else []
     while b:
-        r = _pseudo_rem(a, b)
+        # scaling by lc(b)^(d+1) makes every long-division step exact
+        d = max(_deg(a) - _deg(b), 0)
+        r = _divmod_exact([x * b[-1] ** (d + 1) for x in a], b)[1]
         a, b = b, (_primitive(r)[1] if r else [])
     return a
 
@@ -580,14 +567,8 @@ def factorize(poly: IntPolynomial) -> FactorizationResult:
             for irr in _zassenhaus_squarefree(part):
                 collected.append((IntPolynomial(tuple(irr)), mult))
 
-    collected.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-    # merge duplicates (possible when different squarefree parts share none,
-    # but keep the invariants airtight)
-    merged: dict[IntPolynomial, int] = {}
-    for f, mult in collected:
-        merged[f] = merged.get(f, 0) + mult
-    factors = tuple(sorted(merged.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
+    # Yun's parts are pairwise coprime and prime to x: no factor appears twice
+    factors = tuple(sorted(collected, key=lambda fm: (fm[0].degree, fm[0].coeffs)))
 
     result = FactorizationResult(content=content, factors=factors)
     if result.expand() != poly:

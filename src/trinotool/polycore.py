@@ -12,6 +12,11 @@ optional z -> -z substitution:
     S:  z^n + a z^m - 1   (a > 0, n odd)
     T:  z^n - a z^m - 1   (a > 0)
 
+``_SIGNS`` holds each family's (middle, constant) sign pattern; the parity
+rules live only in ``FamilyForm``.  z -> -z, times (-1)^n to stay monic, maps
+the pattern (s, t) to (s (-1)^(n+m), t (-1)^n) (``_reflect``); ``normalize``
+and ``classify_real_roots`` are derived from these two rules.
+
 Complex roots are found by Aberth-Ehrlich simultaneous iteration with a
 trinomial-aware initialisation (root moduli cluster on the two circles
 (|b|/|a|)^(1/m) and |a|^(1/(n-m)) when |a| dominates), followed by one Newton
@@ -101,6 +106,15 @@ class TrinomialSpec:
         return self.gcd_mn == 1
 
 
+_SIGNS = {"R": (-1, 1), "S": (1, -1), "T": (-1, -1)}  # (middle, constant) signs
+_FAMILY_OF = {signs: family for family, signs in _SIGNS.items()}
+
+
+def _reflect(n: int, m: int, signs: tuple[int, int]) -> tuple[int, int]:
+    """Sign pattern after z -> -z, multiplied by (-1)^n to stay monic."""
+    return signs[0] * (-1 if (n + m) % 2 else 1), signs[1] * (-1 if n % 2 else 1)
+
+
 @dataclass(frozen=True)
 class FamilyForm:
     """One of the sign-normalised forms R, S, T with positive coefficient a."""
@@ -128,7 +142,7 @@ class FamilyForm:
 
     def signs(self) -> tuple[int, int]:
         """Return (sign of middle coefficient, sign of constant term)."""
-        return {"R": (-1, 1), "S": (1, -1), "T": (-1, -1)}[self.family]
+        return _SIGNS[self.family]
 
     def as_trinomial(self) -> TrinomialSpec:
         sa, sb = self.signs()
@@ -335,30 +349,14 @@ def normalize(n: int, m: int, a: int, b: int) -> tuple[FamilyForm, bool]:
         raise ValueError("need a nonzero integer a and b = +/-1")
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-
-    def build(mid_sign: int, const: int, flipped: bool) -> tuple[FamilyForm, bool]:
-        # mid_sign is the sign carried by |a| in the rewritten polynomial
-        if const == 1:
-            if mid_sign < 0 and m % 2 == 1 and n % 2 == 0:
-                return FamilyForm("R", n, m, abs(a)), flipped
-        else:
-            if mid_sign > 0 and n % 2 == 1:
-                return FamilyForm("S", n, m, abs(a)), flipped
-            if mid_sign < 0:
-                return FamilyForm("T", n, m, abs(a)), flipped
-        raise NotRepresentable(
-            f"z^{n} + {a} z^{m} + {b} matches none of the R/S/T forms"
-        )
-
-    sign_a = 1 if a > 0 else -1
-    try:
-        return build(sign_a, b, False)
-    except NotRepresentable:
-        pass
-    # z -> -z, multiplied by (-1)^n to stay monic
-    flip_mid = sign_a * (-1 if (m + n) % 2 else 1)
-    flip_const = b * (-1 if n % 2 else 1)
-    return build(flip_mid, flip_const, True)
+    signs = (1 if a > 0 else -1, b)
+    for flipped, pattern in ((False, signs), (True, _reflect(n, m, signs))):
+        if pattern in _FAMILY_OF:
+            try:
+                return FamilyForm(_FAMILY_OF[pattern], n, m, abs(a)), flipped
+            except ParityViolated:  # the family's parity rule excludes (n, m)
+                pass
+    raise NotRepresentable(f"z^{n} + {a} z^{m} + {b} matches none of the R/S/T forms")
 
 
 # ----------------------------------------------------------------------------
@@ -518,26 +516,37 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _step_with_sign(f, x0: float, direction: float, want_positive: bool) -> float:
-    """Find x = x0 + direction*delta with the wanted sign of f, shrinking delta."""
+def _positive_roots(n: int, m: int, a: float, sigma: int, tau: int,
+                    boundary: bool) -> list[float]:
+    """Descending positive roots of x^n + sigma a x^m + tau, a >= 2.  By Descartes:
+    (-,+) one in (0, 1) and one in (1, hi), one of them exactly 1 when a = 2;
+    (+,-) one in (0, 1); (-,-) one in (1, hi); (+,+) none."""
+    def p(x: float) -> float:  # as FamilyForm.__call__
+        return x**m * (x ** (n - m) + sigma * a) + tau
+
+    hi = a ** (1.0 / (n - m)) + 1.0  # value at hi dominates the middle term
+    if sigma > 0:
+        return [_bisect(p, 0.0, 1.0)] if tau < 0 else []
+    if tau < 0:
+        return [_bisect(p, 1.0, hi)]
+    if not boundary:
+        return [_bisect(p, 1.0, hi), _bisect(p, 0.0, 1.0)]
+    if n == 2 * m:  # degenerate (n, m) = (2, 1): (x-1)^2, double root at 1
+        return [1.0, 1.0]
+    side = -1.0 if m < n / 2 else 1.0  # the other root's side of 1
     delta = 1e-3
-    for _ in range(12):
-        x = x0 + direction * delta
-        v = f(x)
-        if (v > 0) == want_positive and v != 0.0:
-            return x
+    for _ in range(12):  # step off 1 to where p < 0, between the two roots
+        c = 1.0 + side * delta
+        if p(c) < 0:
+            return [1.0, _bisect(p, 0.0, c)] if side < 0 else [_bisect(p, c, hi), 1.0]
         delta *= 0.1
-    raise ClassificationMismatch(
-        f"could not establish the expected sign of the polynomial near {x0}"
-    )
+    raise ClassificationMismatch("could not establish the expected sign of the polynomial near 1")
 
 
 def classify_real_roots(f: FamilyForm) -> ClassifiedRealRoots:
-    """Locate and label the real roots of an R/S/T form with a >= 2.
-
-    Boundary roots at +/-1 (which occur exactly when a = 2) are detected
-    symbolically before any bisection.  Requires gcd(m, n) = 1.
-    """
+    """Label the real roots of an R/S/T form (a >= 2, gcd(m, n) = 1) in descending
+    order: its positive roots, then the negated positive roots of its z -> -z
+    reflection.  Roots at +/-1 (exactly when a = 2) are set, not bisected."""
     if f.gcd_mn != 1:
         raise ValueError("classification requires gcd(m, n) = 1")
     if not f.a >= 2:
@@ -545,67 +554,17 @@ def classify_real_roots(f: FamilyForm) -> ClassifiedRealRoots:
 
     n, m, a = f.n, f.m, f.a
     boundary = _is_int_like(a) and int(a) == 2  # P(+/-1) = 0 exactly
-    hi = a ** (1.0 / (n - m)) + 1.0  # value at +/-hi dominates the middle term
-    entries: list[tuple[str, float]] = []
-
-    if f.family == "R":
-        if boundary:
-            if n == 2 * m:
-                # degenerate (n, m) = (2, 1): (z-1)^2, double root at 1
-                entries = [("r1", 1.0), ("r2", 1.0)]
-            elif m < n / 2:
-                c = _step_with_sign(f, 1.0, -1.0, want_positive=False)
-                entries = [("r1", 1.0), ("r2", _bisect(f, 0.0, c))]
-            else:
-                c = _step_with_sign(f, 1.0, +1.0, want_positive=False)
-                entries = [("r1", _bisect(f, c, hi)), ("r2", 1.0)]
-        else:
-            entries = [("r1", _bisect(f, 1.0, hi)), ("r2", _bisect(f, 0.0, 1.0))]
-
-    elif f.family == "S":
-        s1 = _bisect(f, 0.0, 1.0)
-        if m % 2 == 1:
-            entries = [("s1", s1)]
-        elif boundary:
-            if m < n / 2:
-                c = _step_with_sign(f, -1.0, +1.0, want_positive=True)
-                entries = [("s1", s1), ("s2", _bisect(f, c, 0.0)), ("s3", -1.0)]
-            else:
-                c = _step_with_sign(f, -1.0, -1.0, want_positive=True)
-                entries = [("s1", s1), ("s2", -1.0), ("s3", _bisect(f, -hi, c))]
-        else:
-            entries = [
-                ("s1", s1),
-                ("s2", _bisect(f, -1.0, 0.0)),
-                ("s3", _bisect(f, -hi, -1.0)),
-            ]
-
-    else:  # T
-        t1 = _bisect(f, 1.0, hi)
-        if n % 2 == 0:
-            entries = [("t1", t1), ("t2", _bisect(f, -1.0, 0.0))]
-        elif m % 2 == 0:
-            entries = [("t1", t1)]
-        elif boundary:
-            if m < n / 2:
-                c = _step_with_sign(f, -1.0, +1.0, want_positive=True)
-                entries = [("t1", t1), ("t2", _bisect(f, c, 0.0)), ("t3", -1.0)]
-            else:
-                c = _step_with_sign(f, -1.0, -1.0, want_positive=True)
-                entries = [("t1", t1), ("t2", -1.0), ("t3", _bisect(f, -hi, c))]
-        else:
-            entries = [
-                ("t1", t1),
-                ("t2", _bisect(f, -1.0, 0.0)),
-                ("t3", _bisect(f, -hi, -1.0)),
-            ]
+    roots = _positive_roots(n, m, a, *f.signs(), boundary)
+    roots += [-y for y in _positive_roots(n, m, a, *_reflect(n, m, f.signs()), boundary)]
+    roots.sort(reverse=True)
 
     expected = {"R": 2, "S": 1 if m % 2 else 3, "T": 2 if n % 2 == 0 else (3 if m % 2 else 1)}
-    if len(entries) != expected[f.family]:
+    if len(roots) != expected[f.family]:
         raise ClassificationMismatch(
-            f"found {len(entries)} labelled roots, expected {expected[f.family]}"
+            f"found {len(roots)} labelled roots, expected {expected[f.family]}"
         )
-    return ClassifiedRealRoots(family=f, entries=tuple(entries))
+    entries = tuple((f"{f.family.lower()}{k}", x) for k, x in enumerate(roots, 1))
+    return ClassifiedRealRoots(family=f, entries=entries)
 
 
 def is_reciprocal(p: IntPolynomial) -> bool:

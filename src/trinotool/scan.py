@@ -30,10 +30,7 @@ __all__ = [
     "compute_scan_record",
     "record_to_dict",
     "record_from_dict",
-    "default_threads",
 ]
-
-THREADS_ENV = "TRINOTOOL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -69,16 +66,6 @@ class ConvergenceRow:
     measure: float
     limit: float
     gap: float
-
-
-def default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
@@ -190,7 +177,7 @@ def _load_cache(path: str) -> dict[tuple[int, int, int, int], ScanRecord]:
 
 
 def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = (-1, 1),
-                    coprime_only: bool = True, threads: int | None = None,
+                    coprime_only: bool = True, threads: int = 1,
                     cache_path: str | None = None) -> list[ScanRecord]:
     """Scan every (n <= n_max, 0 < m < n, a, b) cell and return the reducible
     (and errored) records, canonically sorted.
@@ -198,9 +185,8 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
     All completed records, including irreducible ones, are appended to the
     cache file when one is given; a rerun with the same cache skips finished
     cells and reproduces the same record set.  ``threads`` is the number of
-    worker processes (>= 1); None reads $TRINOTOOL_THREADS.
+    worker processes (>= 1).
     """
-    threads = default_threads() if threads is None else threads
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     items = _work_items(n_max, a_values, signs, coprime_only)

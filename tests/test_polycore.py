@@ -131,6 +131,26 @@ def test_normalize_not_representable_for_even_even():
         normalize(4, 2, 3, -1)
 
 
+def _valid_forms(a_values):
+    for n, m in coprime_pairs(30):
+        for a in a_values:
+            for family in "RST":
+                try:
+                    yield FamilyForm(family, n, m, a)
+                except ParityViolated:
+                    pass
+
+
+def test_normalize_round_trips_every_form():
+    for form in _valid_forms((2, 3, 7)):
+        n, m = form.n, form.m
+        sa, sb = form.signs()
+        assert normalize(n, m, sa * form.a, sb) == (form, False)
+        # the z -> -z image, times (-1)^n to stay monic
+        image = (sa * form.a * (-1) ** (n + m), sb * (-1) ** n)
+        assert normalize(n, m, *image) == (form, True)
+
+
 def test_normalize_preserves_house(rng):
     from trinotool.mahler import house
 
@@ -265,6 +285,14 @@ def test_classify_t_family_case_split():
     assert classify_real_roots(FamilyForm("T", 4, 1, 3)).labels == ("t1", "t2")
     assert classify_real_roots(FamilyForm("T", 5, 2, 3)).labels == ("t1",)
     assert classify_real_roots(FamilyForm("T", 5, 3, 3)).labels == ("t1", "t2", "t3")
+
+
+def test_classify_labels_are_descending_real_roots():
+    for form in _valid_forms((2, 3, 7, 2.5)):
+        got = classify_real_roots(form)
+        assert all(x >= y for x, y in zip(got.values, got.values[1:])), form
+        letter = form.family.lower()
+        assert got.labels == tuple(f"{letter}{k}" for k in range(1, got.count + 1))
 
 
 def test_classify_rejects_invalid():

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
 import os
 
 import pytest
 
+from trinotool import scan
 from trinotool.cli import cli_dispatch
 from trinotool.scan import (
     ConvergenceRow,
@@ -59,6 +61,11 @@ def test_scan_rejects_bad_input():
 def test_scan_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError):
         scan_conjecture(5, [3], threads=threads)
+
+
+def test_scan_threads_default_to_one():
+    assert inspect.signature(scan_conjecture).parameters["threads"].default == 1
+    assert not hasattr(scan, "default_threads")
 
 
 def test_scan_thread_counts_agree():
@@ -317,14 +324,6 @@ def test_cli_measure_all_reports_each_failed_route(tmp_path, monkeypatch):
     assert series["method"] == "series" and "error" not in series
     # a single route still fails the command
     assert cli_dispatch(["measure", "3", "1", "-3", "2", "--method", "jensen"]) == 1
-
-
-def test_cli_env_thread_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRINOTOOL_THREADS", "2")
-    from trinotool.scan import default_threads
-    assert default_threads() == 2
-    monkeypatch.setenv("TRINOTOOL_THREADS", "junk")
-    assert default_threads() == 1
 
 
 def test_cli_text_format_default(tmp_path, capsys):
