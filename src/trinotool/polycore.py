@@ -21,6 +21,11 @@ Complex roots are found by Aberth-Ehrlich simultaneous iteration with a
 trinomial-aware initialisation (root moduli cluster on the two circles
 (|b|/|a|)^(1/m) and |a|^(1/(n-m)) when |a| dominates), followed by one Newton
 polish and residual-based certification.
+
+``_eval_terms`` is the one evaluator at a point (Horner's rule over the nonzero
+terms, each gap's power by squaring).  ``mahler._circle_modulus`` is kept apart:
+it evaluates by angle, exp(i n t), and its scalar golden-section search in
+``_circle_breakpoints`` ran 2.5x slower through the evaluator.
 """
 
 from __future__ import annotations
@@ -152,10 +157,9 @@ class FamilyForm:
         return TrinomialSpec(self.n, self.m, a, sb)
 
     def __call__(self, x: float) -> float:
-        """Evaluate the family polynomial, factored to dodge overflow at the
-        bracketing endpoints (x^m may be huge while the value is moderate)."""
+        """Evaluate the family polynomial as (x^(n-m) + sigma a) x^m + tau."""
         sa, sb = self.signs()
-        return x**self.m * (x ** (self.n - self.m) + sa * self.a) + sb
+        return _eval_terms((0, self.m, self.n), (sb, sa * self.a, 1), x)
 
 
 def dense_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -295,32 +299,41 @@ class RootConfig:
     """Tuning knobs for the simultaneous root iteration."""
 
     max_iter: int = 512
-    tol: float = 1e-14
     cert_tol: float = 1e-6
+
+
+_ABERTH_TOL = 1e-14  # relative correction size at which the iteration stops
 
 
 # ----------------------------------------------------------------------------
 # evaluation / conversion
 
-def _pow_by_squaring(z: complex, e: int) -> complex:
-    acc = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    base = z
-    while e:
-        if e & 1:
-            acc = acc * base
-        base = base * base
-        e >>= 1
+def _pow_by_squaring(z, e: int):
+    """z^e for e >= 1 by left-to-right binary powering: one squaring per bit
+    of e after the first and one product by z per further set bit.  Works
+    elementwise on numpy arrays, where ``**`` is less accurate."""
+    acc = z
+    for bit in bin(e)[3:]:
+        acc = acc * acc
+        if bit == "1":
+            acc = acc * z
     return acc
 
 
-def evaluate(spec: TrinomialSpec, z: complex) -> complex:
-    """Evaluate z^n + a z^m + b, powers via exponentiation by squaring.
+def _eval_terms(exps: Sequence[int], coeffs: Sequence, z):
+    """sum coeffs[k] z^exps[k] for ascending exps: Horner's rule across the
+    gaps between exponents, each gap's power by squaring.  A trinomial is
+    evaluated as (z^(n-m) + a) z^m + b; a polynomial with no zero
+    coefficient as plain Horner.  z may be a scalar or a numpy array."""
+    acc = coeffs[-1]
+    for k in range(len(exps) - 1, 0, -1):
+        acc = acc * _pow_by_squaring(z, exps[k] - exps[k - 1]) + coeffs[k - 1]
+    return acc * _pow_by_squaring(z, exps[0]) if exps[0] else acc
 
-    z^n is formed as z^m * z^(n-m) so both powers share the cheap path.
-    """
-    zm = _pow_by_squaring(z, spec.m)
-    zn = zm * _pow_by_squaring(z, spec.n - spec.m)
-    return zn + spec.a * zm + spec.b
+
+def evaluate(spec: TrinomialSpec, z: complex) -> complex:
+    """Evaluate z^n + a z^m + b as (z^(n-m) + a) z^m + b."""
+    return _eval_terms(*_terms(spec), z)
 
 
 def to_dense(spec: TrinomialSpec) -> IntPolynomial:
@@ -362,32 +375,22 @@ def normalize(n: int, m: int, a: int, b: int) -> tuple[FamilyForm, bool]:
 # ----------------------------------------------------------------------------
 # complex roots
 
-def _poly_arrays(p: Union[IntPolynomial, TrinomialSpec]):
+def _terms(p: Union[IntPolynomial, TrinomialSpec]) -> tuple[list[int], list[complex]]:
+    """Ascending exponents and complex coefficients of the nonzero terms."""
     if isinstance(p, TrinomialSpec):
-        coeffs = np.zeros(p.n + 1, dtype=complex)
-        coeffs[0] = p.b
-        coeffs[p.m] = p.a
-        coeffs[p.n] = 1.0
-        return coeffs, p
-    coeffs = np.asarray([complex(c) for c in p.coeffs], dtype=complex)
-    return coeffs, None
+        return [0, p.m, p.n], [complex(p.b), complex(p.a), 1.0 + 0.0j]
+    terms = p.nonzero_terms()
+    return [k for k, _ in terms], [complex(c) for _, c in terms]
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _initial_points(coeffs: np.ndarray, spec: TrinomialSpec | None) -> np.ndarray:
-    n = len(coeffs) - 1
-    if spec is not None and abs(spec.a) > abs(spec.b) + 1:
+def _initial_points(p: Union[IntPolynomial, TrinomialSpec], coeffs: list[complex],
+                    n: int) -> np.ndarray:
+    if isinstance(p, TrinomialSpec) and abs(p.a) > abs(p.b) + 1:
         # roots cluster near the two circles; seed with the exact proto-roots
         # of a z^m + b = 0 and z^(n-m) + a = 0
-        m, d = spec.m, spec.n - spec.m
-        inner_c = -spec.b / spec.a
-        outer_c = -complex(spec.a)
+        m, d = p.m, p.n - p.m
+        inner_c = -p.b / p.a
+        outer_c = -complex(p.a)
         r_in = abs(inner_c) ** (1.0 / m)
         r_out = abs(outer_c) ** (1.0 / d)
         th_in = cmath.phase(inner_c)
@@ -395,26 +398,14 @@ def _initial_points(coeffs: np.ndarray, spec: TrinomialSpec | None) -> np.ndarra
         pts = [r_in * cmath.exp(1j * (th_in + 2 * math.pi * j) / m) for j in range(m)]
         pts += [r_out * cmath.exp(1j * (th_out + 2 * math.pi * j) / d) for j in range(d)]
         return np.asarray(pts, dtype=complex)
-    mags = np.abs(coeffs)
-    lead = mags[-1]
-    hi = 1.0 + np.max(mags[:-1]) / lead
-    lo = mags[0] / (mags[0] + np.max(mags[1:])) if mags[0] > 0 else 0.25
+    # coeffs[0] is the nonzero constant term
+    mags = [abs(c) for c in coeffs]
+    hi = 1.0 + max(mags[:-1]) / mags[-1]
+    lo = mags[0] / (mags[0] + max(mags[1:]))
     radius = math.sqrt(max(lo, 1e-6) * hi)
     angles = 2 * math.pi * np.arange(n) / n + 0.7 / n + 0.39996
     radii = radius * (1.0 + 0.06 * np.cos(3.7 * np.arange(n)))
     return radii * np.exp(1j * angles)
-
-
-def _residuals(coeffs: np.ndarray, dcoeffs: np.ndarray, z: np.ndarray) -> float:
-    n = len(coeffs) - 1
-    pv = np.abs(_horner(coeffs, z))
-    # |P(z)| computed in floats is only trustworthy down to the evaluation
-    # noise floor; without it, cancellation at multiple roots reports
-    # spuriously tiny residuals and over-certifies the cluster
-    noise = 2.3e-16 * _horner(np.abs(coeffs), np.abs(z)).real
-    dv = np.abs(_horner(dcoeffs, z))
-    dv = np.maximum(dv, 1e-300)
-    return float(np.max(n * (pv + noise) / dv))
 
 
 def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootConfig()) -> RootSet:
@@ -424,30 +415,28 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootC
     ConvergenceFailure (carrying the best iterate) if the iteration cap is hit
     while the residual bound is still above the certification tolerance.
     """
-    coeffs, spec = _poly_arrays(p)
-    if len(coeffs) < 2:
+    exps, coeffs = _terms(p)
+    if not exps or exps[-1] < 1:
         raise ValueError("degree must be at least 1")
 
-    zero_count = 0
-    while coeffs[0] == 0:  # roots at the origin split off exactly
-        zero_count += 1
-        coeffs = coeffs[1:]
-
+    zero_count = exps[0]  # roots at the origin split off exactly
+    exps = [e - zero_count for e in exps]
+    n = exps[-1]
     roots: list[complex] = [0.0j] * zero_count
     iterations = 0
     residual = 0.0
 
-    if len(coeffs) == 2:
-        roots.append(complex(-coeffs[0] / coeffs[1]))
-    elif len(coeffs) > 2:
-        dcoeffs = np.asarray([k * c for k, c in enumerate(coeffs) if k > 0], dtype=complex)
-        z = _initial_points(coeffs, spec if zero_count == 0 else None)
-        n = len(z)
+    if n == 1:
+        roots.append(-coeffs[0] / coeffs[1])
+    elif n > 1:
+        dexps = [e - 1 for e in exps if e]
+        dcoeffs = [e * c for e, c in zip(exps, coeffs) if e]
+        z = _initial_points(p, coeffs, n)
         converged = False
         for it in range(config.max_iter):
             iterations = it + 1
-            pv = _horner(coeffs, z)
-            dv = _horner(dcoeffs, z)
+            pv = _eval_terms(exps, coeffs, z)
+            dv = _eval_terms(dexps, dcoeffs, z)
             dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
             diff = z[:, None] - z[None, :]
@@ -457,17 +446,23 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootC
             denom = np.where(denom == 0, 1e-300, denom)
             corr = w / denom
             z = z - corr
-            if np.max(np.abs(corr) / (1.0 + np.abs(z))) < config.tol:
+            if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_TOL:
                 converged = True
                 break
         # terminal Newton pass, kept only where it reduces |P|
-        pv = _horner(coeffs, z)
-        dv = _horner(dcoeffs, z)
+        pv = _eval_terms(exps, coeffs, z)
+        dv = _eval_terms(dexps, dcoeffs, z)
         dv = np.where(dv == 0, 1e-300, dv)
         z_new = z - pv / dv
-        better = np.abs(_horner(coeffs, z_new)) <= np.abs(pv)
+        better = np.abs(_eval_terms(exps, coeffs, z_new)) <= np.abs(pv)
         z = np.where(better, z_new, z)
-        residual = _residuals(coeffs, dcoeffs, z)
+        # |P(z)| computed in floats is only trustworthy down to the evaluation
+        # noise floor; without it, cancellation at multiple roots reports
+        # spuriously tiny residuals and over-certifies the cluster
+        pv = np.abs(_eval_terms(exps, coeffs, z))
+        noise = 2.3e-16 * _eval_terms(exps, [abs(c) for c in coeffs], np.abs(z))
+        dv = np.maximum(np.abs(_eval_terms(dexps, dcoeffs, z)), 1e-300)
+        residual = float(np.max(n * (pv + noise) / dv))
         if not converged and residual > config.cert_tol:
             raise ConvergenceFailure(
                 f"root iteration did not converge in {config.max_iter} iterations "
@@ -522,7 +517,10 @@ def _positive_roots(n: int, m: int, a: float, sigma: int, tau: int,
     (-,+) one in (0, 1) and one in (1, hi), one of them exactly 1 when a = 2;
     (+,-) one in (0, 1); (-,-) one in (1, hi); (+,+) none."""
     def p(x: float) -> float:  # as FamilyForm.__call__
-        return x**m * (x ** (n - m) + sigma * a) + tau
+        value = _eval_terms((0, m, n), (tau, sigma * a, 1), x)
+        if math.isnan(value):  # inf * 0 after an overflow; +/-inf keeps its sign
+            raise ClassificationMismatch(f"the polynomial overflowed to NaN at x = {x!r}")
+        return value
 
     hi = a ** (1.0 / (n - m)) + 1.0  # value at hi dominates the middle term
     if sigma > 0:

@@ -10,6 +10,7 @@ from trinotool.errors import (
     NonIntegerCoefficient,
     NotRepresentable,
     ParityViolated,
+    TrinotoolError,
 )
 from trinotool.polycore import (
     FamilyForm,
@@ -89,15 +90,16 @@ def test_evaluate_examples():
 
 
 def test_evaluate_matches_dense_horner(rng):
-    for _ in range(100):
-        n = rng.randint(2, 24)
-        m = rng.randint(1, n - 1)
-        a = rng.choice([x for x in range(-6, 7) if x != 0])
-        b = rng.choice([-1, 1])
-        spec = TrinomialSpec(n, m, a, b)
-        dense = to_dense(spec)
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert evaluate(spec, z) == pytest.approx(dense(z), rel=1e-12, abs=1e-12)
+    for n_lo, n_hi in ((2, 24), (25, 300)):
+        for _ in range(100):
+            n = rng.randint(n_lo, n_hi)
+            m = rng.randint(1, n - 1)
+            a = rng.choice([x for x in range(-6, 7) if x != 0])
+            b = rng.choice([-1, 1])
+            spec = TrinomialSpec(n, m, a, b)
+            dense = to_dense(spec)
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            assert evaluate(spec, z) == pytest.approx(dense(z), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- to_dense
@@ -198,6 +200,11 @@ def test_all_roots_degree_one_and_zero_roots():
     assert rs.roots == (-2 + 0j,)
     rs = all_roots(IntPolynomial.of([0, 0, 1, 1]))  # z^2 (z + 1)
     assert sorted(r.real for r in rs.roots) == pytest.approx([-1, 0, 0])
+    rs = all_roots(IntPolynomial.of([0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 1]))  # z^3 (z^7 - 2)
+    assert rs.roots.count(0j) == 3
+    nonzero = [r for r in rs.roots if r != 0]
+    assert len(nonzero) == 7
+    assert [abs(r) for r in nonzero] == pytest.approx([2 ** (1 / 7)] * 7, abs=1e-12)
     with pytest.raises(ValueError):
         all_roots(IntPolynomial.of([5]))
 
@@ -216,6 +223,20 @@ def test_all_roots_round_trip(rng):
         scale = 1.0 + max(abs(c) for c in p.coeffs)
         for k, c in enumerate(p.coeffs):
             assert abs(expanded[k] - c) <= 1e-6 * scale
+
+
+def test_all_roots_trinomial_matches_dense_input():
+    # the trinomial seeds its iteration on the two root circles, the dense
+    # input on one generic circle: both must reach the same roots
+    for n, m in coprime_pairs(30):
+        for a in (2, -2, 3, -3, 5):
+            for b in (1, -1):
+                spec = TrinomialSpec(n, m, a, b)
+                unmatched = list(all_roots(to_dense(spec)).roots)
+                for r in all_roots(spec).roots:
+                    nearest = min(unmatched, key=lambda s: abs(s - r))
+                    assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r)), (spec, r)
+                    unmatched.remove(nearest)
 
 
 def test_all_roots_deterministic():
@@ -293,6 +314,16 @@ def test_classify_labels_are_descending_real_roots():
         assert all(x >= y for x, y in zip(got.values, got.values[1:])), form
         letter = form.family.lower()
         assert got.labels == tuple(f"{letter}{k}" for k in range(1, got.count + 1))
+
+
+def test_classify_overflow_to_nan_is_a_typed_error():
+    # x^59 overflows to inf while x - 1e6 is exactly 0 at a bisection point
+    with pytest.raises(TrinotoolError):
+        classify_real_roots(FamilyForm("T", 60, 59, 1e6))
+    # an overflow to -inf keeps its sign, and the bisection still converges
+    got = classify_real_roots(FamilyForm("R", 52, 51, 1e6))
+    assert got["r1"] == pytest.approx(1e6, rel=1e-12)
+    assert got["r2"] == pytest.approx(0.7627, abs=1e-4)
 
 
 def test_classify_rejects_invalid():

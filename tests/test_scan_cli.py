@@ -220,10 +220,16 @@ def test_cli_converge_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # domain error -> 1 with a JSON error object on stderr in json mode
     rc = cli_dispatch(["measure", "3", "1", "0", "1", "--format", "json"])
     assert rc == 1
+    # the real-root bisection overflows to NaN: a typed error, not OverflowError
+    rc = cli_dispatch(["roots", "60", "59", "-1000000", "-1", "--classify",
+                       "--format", "json"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ClassificationMismatch"
     # usage error -> 2
     assert cli_dispatch(["measure", "3"]) == 2
     assert cli_dispatch(["nope"]) == 2
