@@ -54,7 +54,6 @@ from .polycore import (
     ClassifiedRealRoots,
     FamilyForm,
     IntPolynomial,
-    RootConfig,
     RootSet,
     TrinomialSpec,
     all_roots,
@@ -64,7 +63,7 @@ from .polycore import (
     normalize,
     to_dense,
 )
-from .quadrature import QuadConfig, QuadResult, integrate
+from .quadrature import QuadResult, integrate
 from .scan import (
     ConvergenceRow,
     ScanRecord,

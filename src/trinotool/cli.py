@@ -28,7 +28,6 @@ from .polycore import (
     normalize,
     to_dense,
 )
-from .quadrature import QuadConfig
 
 # let tokens like "-4,-3,3,4" or "-1+2j" pass as values, not option names
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d,.j+-]*$")
@@ -123,14 +122,10 @@ class _Output:
             sys.stdout.write(text)
 
 
-def _quad_config(args) -> QuadConfig:
-    if args.tolerance is not None:
-        return QuadConfig(abs_tol=args.tolerance)
-    return QuadConfig()
-
-
-def _series_tol(args) -> float:
-    return args.tolerance if args.tolerance is not None else 1e-12
+def _tol(args) -> dict:
+    """{"tol": --tolerance} when the flag is given; otherwise {}, so each
+    routine keeps its own default."""
+    return {} if args.tolerance is None else {"tol": args.tolerance}
 
 
 def _measure_record(result: mahler.MeasureResult) -> dict:
@@ -146,9 +141,9 @@ def _cmd_measure(args, out: _Output) -> int:
     spec = TrinomialSpec(args.n, args.m, args.a, args.b)
     routes = {
         "roots": lambda: mahler.measure_from_roots(spec),
-        "jensen": lambda: mahler.measure_jensen(spec, _quad_config(args)),
+        "jensen": lambda: mahler.measure_jensen(spec, **_tol(args)),
         "series": lambda: mahler.series_measure(args.n, args.m, args.a, args.b,
-                                                tol=_series_tol(args)),
+                                                **_tol(args)),
     }
     records = []
     for method in routes if args.method == "all" else [args.method]:
@@ -208,7 +203,7 @@ def _cmd_irreducible(args, out: _Output) -> int:
 
 def _cmd_limit(args, out: _Output) -> int:
     case = mahler.limit_case(args.a, args.b)
-    result = mahler.limit_measure(args.a, args.b, _quad_config(args))
+    result = mahler.limit_measure(args.a, args.b, **_tol(args))
     rec = {
         "case": case.case.value,
         "gamma": case.gamma,
@@ -222,7 +217,7 @@ def _cmd_limit(args, out: _Output) -> int:
 
 def _cmd_series(args, out: _Output) -> int:
     result = mahler.series_measure(args.n, args.m, args.a, args.b,
-                                   tol=_series_tol(args), k_max=args.kmax)
+                                   k_max=args.kmax, **_tol(args))
     records = [_measure_record(result)]
     if args.trace:
         records.extend(

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import polycore
 from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
-from .polycore import IntPolynomial, RootSet, TrinomialSpec
-from .quadrature import QuadConfig, QuadResult, integrate
+from .polycore import IntPolynomial, RootSet, TrinomialSpec, require_finite
+from .quadrature import DEFAULT_TOL, QuadResult, integrate
 
 __all__ = [
     "MeasureResult",
@@ -162,7 +162,7 @@ def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
     return tuple(sorted(set(dips) | set(uniform.tolist())))
 
 
-def measure_jensen(spec: TrinomialSpec, config: QuadConfig = QuadConfig()) -> MeasureResult:
+def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResult:
     """M via adaptive quadrature of (1/2pi) integral log|P(e^it)| dt.
 
     Zeros on the unit circle give integrable log singularities; their angles
@@ -172,12 +172,13 @@ def measure_jensen(spec: TrinomialSpec, config: QuadConfig = QuadConfig()) -> Me
     def integrand(t):
         return np.log(np.maximum(_circle_modulus(spec, t), 1e-300))
 
-    return _jensen_result(integrate(integrand, 0.0, 2 * math.pi, config,
+    return _jensen_result(integrate(integrand, 0.0, 2 * math.pi, tol,
                                     breakpoints=_circle_breakpoints(spec)))
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:
     """Classify (a, b) into the four large-n regimes (they partition the plane)."""
+    require_finite(a, b)
     if a == 0 or b == 0:
         raise ValueError("a and b must be nonzero")
     ra, rb = abs(a), abs(b)
@@ -192,7 +193,7 @@ def limit_case(a: complex, b: complex) -> LimitCase:
     return LimitCase(LimitRegime.OSCILLATORY, gamma=gamma)
 
 
-def limit_measure(a: complex, b: complex, config: QuadConfig = QuadConfig()) -> MeasureResult:
+def limit_measure(a: complex, b: complex, tol: float = DEFAULT_TOL) -> MeasureResult:
     """Large-n limit of M(z^n + a z^m + b) per regime.
 
     Dominant-a: |a| (limit).  Dominant-b: |b|, exact for every n.  Sub-unit: 1,
@@ -214,7 +215,7 @@ def limit_measure(a: complex, b: complex, config: QuadConfig = QuadConfig()) -> 
     def integrand(t):
         return np.log(np.maximum(c2 + c1 * np.cos(t), 1e-300))
 
-    return _jensen_result(integrate(integrand, 0.0, case.gamma, config))
+    return _jensen_result(integrate(integrand, 0.0, case.gamma, tol))
 
 
 def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:
@@ -222,6 +223,7 @@ def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     if gcd(m, n) != 1:
         raise CoprimalityViolated(f"gcd({m}, {n}) = {gcd(m, n)} != 1")
+    require_finite(a, b)
     if a == 0 or b == 0:
         raise ValueError("a and b must be nonzero")
     if abs(a) - abs(b) < 1.0:

@@ -20,7 +20,10 @@ and ``classify_real_roots`` are derived from these two rules.
 Complex roots are found by Aberth-Ehrlich simultaneous iteration with a
 trinomial-aware initialisation (root moduli cluster on the two circles
 (|b|/|a|)^(1/m) and |a|^(1/(n-m)) when |a| dominates), followed by one Newton
-polish and residual-based certification.
+polish and residual-based certification.  The iteration stops once every
+relative correction is below ``_ABERTH_TOL``, gives up after ``_MAX_ITER``
+iterations, and certifies a root set whose residual bound is at most
+``_CERT_TOL``; none of the three is a parameter.
 
 ``_eval_terms`` is the one evaluator at a point (Horner's rule over the nonzero
 terms, each gap's power by squaring).  ``mahler._circle_modulus`` is kept apart:
@@ -52,7 +55,6 @@ __all__ = [
     "IntPolynomial",
     "RootSet",
     "ClassifiedRealRoots",
-    "RootConfig",
     "evaluate",
     "to_dense",
     "normalize",
@@ -72,6 +74,16 @@ def _is_int_like(x) -> bool:
     if isinstance(x, complex):
         return x.imag == 0 and float(x.real).is_integer()
     return False
+
+
+def require_finite(*coeffs) -> None:
+    """Raise ValueError for a float or complex coefficient that is not finite.
+
+    Python ints of any size stay legal: the factorizer needs them exact.
+    """
+    for c in coeffs:
+        if isinstance(c, (float, complex)) and not cmath.isfinite(c):
+            raise ValueError(f"coefficients must be finite, got {c!r}")
 
 
 def _as_int(x) -> int:
@@ -96,6 +108,7 @@ class TrinomialSpec:
             raise TypeError("n and m must be integers")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
+        require_finite(self.a, self.b)
         if self.a == 0 or self.b == 0:
             raise ValueError("a and b must be nonzero")
 
@@ -134,6 +147,7 @@ class FamilyForm:
             raise ValueError(f"family must be 'R', 'S' or 'T', got {self.family!r}")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
+        require_finite(self.a)
         if not self.a > 0:
             raise ValueError("a must be positive")
         if self.family == "R" and (self.m % 2 == 0 or self.n % 2 == 1):
@@ -223,10 +237,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -252,8 +262,8 @@ class RootSet:
     ``residual_bound`` is max over roots of deg * (|P(z)| + noise) / |P'(z)|,
     a first-order estimate of the distance to the true root; the noise term is
     the float evaluation floor of P, which keeps the estimate honest at
-    multiple roots.  ``certified`` is set when the bound is below the
-    configured certification tolerance.
+    multiple roots.  ``certified`` is set when the bound is at most
+    ``_CERT_TOL``.
     """
 
     roots: tuple[complex, ...]
@@ -294,15 +304,9 @@ class ClassifiedRealRoots:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Tuning knobs for the simultaneous root iteration."""
-
-    max_iter: int = 512
-    cert_tol: float = 1e-6
-
-
 _ABERTH_TOL = 1e-14  # relative correction size at which the iteration stops
+_MAX_ITER = 512  # Aberth iterations before an unconverged solve is judged
+_CERT_TOL = 1e-6  # residual bound at or below which a root set is certified
 
 
 # ----------------------------------------------------------------------------
@@ -408,12 +412,12 @@ def _initial_points(p: Union[IntPolynomial, TrinomialSpec], coeffs: list[complex
     return radii * np.exp(1j * angles)
 
 
-def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootConfig()) -> RootSet:
+def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
     """All complex roots by Aberth-Ehrlich iteration plus one Newton polish.
 
-    Deterministic for fixed input and configuration.  Raises
-    ConvergenceFailure (carrying the best iterate) if the iteration cap is hit
-    while the residual bound is still above the certification tolerance.
+    Deterministic for fixed input.  Raises ConvergenceFailure (carrying the
+    best iterate) if _MAX_ITER iterations pass without convergence while the
+    residual bound is still above _CERT_TOL.
     """
     exps, coeffs = _terms(p)
     if not exps or exps[-1] < 1:
@@ -433,7 +437,7 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootC
         dcoeffs = [e * c for e, c in zip(exps, coeffs) if e]
         z = _initial_points(p, coeffs, n)
         converged = False
-        for it in range(config.max_iter):
+        for it in range(_MAX_ITER):
             iterations = it + 1
             pv = _eval_terms(exps, coeffs, z)
             dv = _eval_terms(dexps, dcoeffs, z)
@@ -463,9 +467,9 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootC
         noise = 2.3e-16 * _eval_terms(exps, [abs(c) for c in coeffs], np.abs(z))
         dv = np.maximum(np.abs(_eval_terms(dexps, dcoeffs, z)), 1e-300)
         residual = float(np.max(n * (pv + noise) / dv))
-        if not converged and residual > config.cert_tol:
+        if not converged and residual > _CERT_TOL:
             raise ConvergenceFailure(
-                f"root iteration did not converge in {config.max_iter} iterations "
+                f"root iteration did not converge in {_MAX_ITER} iterations "
                 f"(residual bound {residual:.3e})",
                 roots=tuple(sorted(map(complex, z), key=lambda r: (r.real, r.imag))),
                 residual_bound=residual,
@@ -476,7 +480,7 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec], config: RootConfig = RootC
     return RootSet(
         roots=tuple(roots),
         residual_bound=residual,
-        certified=residual <= config.cert_tol,
+        certified=residual <= _CERT_TOL,
         iterations=iterations,
     )
 

@@ -6,6 +6,10 @@ singularities (log zeros) are handled by listing the singular abscissae as
 breakpoints and letting the refinement zoom in.  The final reduction sums
 panel values in left-endpoint order, so results do not depend on the order in
 which panels were refined.
+
+``integrate`` refines until the summed panel error estimate is at most its
+``tol`` keyword (default ``DEFAULT_TOL``), and gives up with
+QuadratureBudgetExceeded once ``_MAX_EVALS`` integrand evaluations are spent.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import QuadratureBudgetExceeded
 
-__all__ = ["QuadConfig", "QuadResult", "integrate"]
+__all__ = ["QuadResult", "integrate"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule sits on the odd-indexed abscissae.
@@ -53,11 +57,8 @@ _WK = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
 _WGFULL = np.zeros(15)
 _WGFULL[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    abs_tol: float = 1e-10
-    max_evals: int = 1_000_000
+DEFAULT_TOL = 1e-10  # absolute error target of integrate and its mahler callers
+_MAX_EVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,12 @@ def _panel(f, a: float, b: float):
     return resk, err
 
 
-def integrate(f, lo: float, hi: float, config: QuadConfig = QuadConfig(),
+def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
               breakpoints: tuple[float, ...] = ()) -> QuadResult:
     """Integrate f over [lo, hi], splitting initially at the given breakpoints.
 
-    Raises QuadratureBudgetExceeded when max_evals function evaluations were
-    spent and the summed panel error estimate still exceeds abs_tol.
+    Raises QuadratureBudgetExceeded when _MAX_EVALS function evaluations were
+    spent and the summed panel error estimate still exceeds tol.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -109,12 +110,12 @@ def integrate(f, lo: float, hi: float, config: QuadConfig = QuadConfig(),
     frozen: list[tuple[float, float, complex, float]] = []  # (a, b, val, err)
     width_floor = 1e-15 * (hi - lo)
 
-    while panels and err_total > config.abs_tol:
-        if evals + 30 > config.max_evals:
+    while panels and err_total > tol:
+        if evals + 30 > _MAX_EVALS:
             value = sum(p[4] for p in panels) + sum(p[2] for p in frozen)
             raise QuadratureBudgetExceeded(
-                f"quadrature budget of {config.max_evals} evaluations exhausted "
-                f"(error estimate {err_total:.3e} > {config.abs_tol:.3e})",
+                f"quadrature budget of {_MAX_EVALS} evaluations exhausted "
+                f"(error estimate {err_total:.3e} > {tol:.3e})",
                 value=value,
                 error=err_total,
             )

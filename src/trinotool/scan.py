@@ -226,14 +226,10 @@ def _m_for_rule(n: int, m_rule: str) -> int:
     if m_rule == "last":
         return n - 1
     if m_rule == "half":
-        best = None
-        for m in range(1, n):
-            if gcd(m, n) != 1:
-                continue
-            score = (abs(m - n / 2), m)
-            if best is None or score < best[0]:
-                best = (score, m)
-        return best[1]
+        coprime = [m for m in range(1, n) if gcd(m, n) == 1]
+        if not coprime:
+            raise ValueError(f"no m with 0 < m < n is coprime to n={n}")
+        return min(coprime, key=lambda m: (abs(m - n / 2), m))
     raise ValueError(f"unknown m rule {m_rule!r} (use fixed:<m>, last, or half)")
 
 

@@ -185,12 +185,13 @@ def test_residue_complex_coefficients():
         cases += 1
 
 
-def test_measure_jensen_budget_propagates():
+def test_measure_jensen_budget_propagates(monkeypatch):
+    from trinotool import quadrature
     from trinotool.errors import QuadratureBudgetExceeded
-    from trinotool.quadrature import QuadConfig
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 200)
     with pytest.raises(QuadratureBudgetExceeded):
-        measure_jensen(TrinomialSpec(2, 1, 1, 1), QuadConfig(abs_tol=0.0, max_evals=200))
+        measure_jensen(TrinomialSpec(2, 1, 1, 1), tol=0.0)
 
 
 def test_series_preconditions():
@@ -260,13 +261,18 @@ def test_residue_terms_sum_to_series():
 
 
 def test_config_parameters_only_where_callers_set_them():
-    from trinotool import bounds, polycore, quadrature
+    from trinotool import bounds, cli, factor, polycore, quadrature, scan
 
-    for fn in (measure_from_roots, house, residue_term,
-               bounds.house_lower_bound, bounds.check_extremality):
-        assert "config" not in inspect.signature(fn).parameters, fn.__name__
-    for fn in (polycore.all_roots, measure_jensen, limit_measure, quadrature.integrate):
-        assert "config" in inspect.signature(fn).parameters, fn.__name__
+    with_tol = set()
+    for module in (bounds, cli, factor, mahler, polycore, quadrature, scan):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            assert "config" not in params, name
+            if "tol" in params:
+                with_tol.add(fn)
+    assert with_tol == {quadrature.integrate, measure_jensen, limit_measure, series_measure}
 
 
 # -------------------------------------------------------- global invariants

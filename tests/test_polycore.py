@@ -244,13 +244,14 @@ def test_all_roots_deterministic():
     assert all_roots(p) == all_roots(p)
 
 
-def test_all_roots_convergence_failure_reports_best_iterate():
+def test_all_roots_convergence_failure_reports_best_iterate(monkeypatch):
+    from trinotool import polycore
     from trinotool.errors import ConvergenceFailure
-    from trinotool.polycore import RootConfig
 
+    monkeypatch.setattr(polycore, "_MAX_ITER", 1)
+    monkeypatch.setattr(polycore, "_CERT_TOL", 1e-14)
     with pytest.raises(ConvergenceFailure) as err:
-        all_roots(IntPolynomial.of([1, 3, 0, 0, 2, 1]),
-                  RootConfig(max_iter=1, cert_tol=1e-14))
+        all_roots(IntPolynomial.of([1, 3, 0, 0, 2, 1]))
     assert len(err.value.roots) == 5
     assert err.value.residual_bound > 1e-14
 

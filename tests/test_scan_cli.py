@@ -237,6 +237,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_dispatch(["scan", "--a", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv, rc", [
+    (("measure", "3", "1", "nan", "1"), 1),
+    (("house", "5", "2", "inf", "1"), 1),
+    (("limit", "1", "inf"), 1),
+    (("series", "5", "2", "inf", "1"), 1),
+    (("bounds", "4", "1", "1e400", "--family", "R"), 1),
+    # ints of any size stay legal: the factorizer needs them exact
+    (("irreducible", "3", "1", str(10**400), "1"), 0),
+])
+def test_cli_refuses_non_finite_coefficients(argv, rc, tmp_path):
+    assert run_cli(tmp_path, *argv)[0] == rc
+
+
+def test_cli_converge_half_without_coprime_m(capsys):
+    # n = 1 has no m with 0 < m < n
+    assert cli_dispatch(["converge", "--a", "3", "--b", "1", "--n", "1",
+                         "--m-rule", "half"]) == 1
+    assert "coprime" in capsys.readouterr().err
+
+
 def test_cli_seed_flag_removed():
     assert cli_dispatch(["house", "3", "1", "-2", "-1", "--seed", "1"]) == 2
     assert cli_dispatch(["scan", "--n-max", "5", "--a", "3", "--seed", "1"]) == 2
@@ -287,7 +307,7 @@ def test_cli_tolerance_rejected_where_not_read(argv, tmp_path):
     assert not out.exists()
 
 
-def test_cli_series_tolerance_reaches_the_sum(tmp_path):
+def test_cli_series_tolerance_reaches_the_sum(tmp_path, monkeypatch):
     def term_rows(*extra):
         rc, text = run_cli(tmp_path, "series", "5", "2", "3", "1", "--trace",
                            "--format", "json", *extra)
@@ -297,6 +317,21 @@ def test_cli_series_tolerance_reaches_the_sum(tmp_path):
     assert 0 < term_rows("--tolerance", "1e-3") < term_rows()
     # the old series-only --tol is gone, and no prefix of --tolerance stands in
     assert cli_dispatch(["series", "5", "2", "3", "1", "--tol", "1e-6"]) == 2
+
+    # the quadrature readers get the same value
+    from trinotool import mahler
+
+    real, seen = mahler.integrate, []
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mahler, "integrate", spy)
+    for argv in (("measure", "5", "2", "3", "1", "--method", "jensen"), ("limit", "1", "1")):
+        seen.clear()
+        assert run_cli(tmp_path, *argv, "--tolerance", "1e-3")[0] == 0
+        assert seen == [1e-3], argv
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -316,7 +351,7 @@ def test_cli_measure_all_reports_each_failed_route(tmp_path, monkeypatch):
     from trinotool import mahler
     from trinotool.errors import QuadratureBudgetExceeded
 
-    def exhausted(spec, config):
+    def exhausted(spec, **kwargs):
         raise QuadratureBudgetExceeded("quadrature budget exhausted")
 
     monkeypatch.setattr(mahler, "measure_jensen", exhausted)
