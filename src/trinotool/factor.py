@@ -3,8 +3,10 @@
 Pipeline: content/primitive split -> squarefree decomposition (Yun) -> modular
 factorization at a good prime (distinct-degree then Cantor-Zassenhaus
 equal-degree splitting) -> quadratic Hensel lifting past the coefficient bound
--> factor recombination by subset search with trailing-coefficient pruning.
-Every factorization is verified by exact re-expansion before it is returned.
+over a balanced factor tree (ceil(log2 r) levels for r modular factors, not
+r - 1 cofactor lifts) -> factor recombination by subset search with
+trailing-coefficient pruning.  Every factorization is verified by exact
+re-expansion before it is returned.
 
 Two cheap certificates run before the engine: the large-middle-coefficient
 threshold (|a| >= n^2/3 forces x^n + a x^m +/- 1 irreducible when gcd(m,n)=1)
@@ -13,7 +15,8 @@ and the four-condition necessary test for reducibility of A x^n + B x^m + C
 
 Dense polynomials are plain lists of Python ints in ascending degree order
 throughout this module; the public API wraps them in IntPolynomial.  All
-modular work (the GF(p) splitting as well as Hensel lifting mod p^k) runs on
+modular work (the GF(p) splitting, which _gf_factors runs for both
+factor_mod_prime and the factorizer, as well as Hensel lifting mod p^k) runs on
 one (Z/m)[x] kernel: _mod, _mod_mul, _mod_sub, _mod_divmod and _monic, with
 products taken by polycore.dense_mul over Z (one big-int product by Kronecker
 substitution) and reduced once.  _mod_divmod subtracts only the divisor's
@@ -27,7 +30,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import combinations
-from math import exp, gcd, isqrt, log, log1p
+from math import exp, gcd, isqrt, log, log1p, prod
 from random import Random
 
 from .errors import (
@@ -382,10 +385,14 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
     return out
 
 
-def _edf_rng(f: list[int], p: int) -> Random:
+def _gf_factors(f: list[int], p: int) -> list[list[int]]:
+    """Monic irreducible factors mod p of f (squarefree mod p, p not dividing
+    the leading coefficient), sorted by (degree, coefficients)."""
+    monic = _monic(_mod(f, p), p)
     # stable across processes and runs; identical inputs -> identical splits
-    key = f"{p}:{','.join(map(str, f))}".encode()
-    return Random(zlib.crc32(key))
+    key = f"{p}:{','.join(map(str, monic))}".encode()
+    factors = _gf_factor_squarefree(monic, p, Random(zlib.crc32(key)))
+    return sorted(factors, key=lambda c: (len(c), tuple(c)))
 
 
 def factor_mod_prime(poly: IntPolynomial, p: int) -> tuple[int, list[IntPolynomial]]:
@@ -403,11 +410,7 @@ def factor_mod_prime(poly: IntPolynomial, p: int) -> tuple[int, list[IntPolynomi
         raise ValueError(f"{p} divides the leading coefficient")
     if not _gf_is_squarefree(f, p):
         raise ValueError(f"polynomial is not squarefree mod {p}")
-    lc = f[-1]
-    monic = _monic(f, p)
-    factors = _gf_factor_squarefree(monic, p, _edf_rng(monic, p))
-    factors.sort(key=lambda c: (len(c), tuple(c)))
-    return lc, [IntPolynomial(tuple(g)) for g in factors]
+    return f[-1], [IntPolynomial(tuple(g)) for g in _gf_factors(f, p)]
 
 
 # ----------------------------------------------------------------------------
@@ -429,38 +432,28 @@ def _hensel_step(f: list[int], g: list[int], h: list[int],
     return g2, h2, s2, t2
 
 
-def _lift_pair(f: list[int], hbar: list[int], p: int, target: int) -> tuple[list[int], list[int], int]:
-    """Lift f = gbar * hbar (mod p), hbar monic, to modulus >= target.
-
-    Returns (cofactor g, monic factor h, modulus)."""
+def _lift(f: list[int], monic_factors: list[list[int]], p: int,
+          modulus: int) -> list[list[int]]:
+    """Lift the monic, pairwise coprime mod-p factors of f to monic factors
+    mod modulus, a power p^(2^k), over a balanced factor tree: each node lifts
+    f = g h, h the product of the second half of the factors, by quadratic
+    Hensel steps and recurses on both halves."""
+    if len(monic_factors) == 1:
+        return [_monic(f, modulus)]
+    half = len(monic_factors) // 2
+    hbar = [1]
+    for c in monic_factors[half:]:
+        hbar = _mod_mul(hbar, c, p)
     gbar, rem = _mod_divmod(f, hbar, p)
     if rem:
         raise InternalVerificationFailure(f"hbar does not divide f mod {p}")
     _, s, t = _gf_gcdext(gbar, hbar, p)
-    g, h = gbar, hbar
-    m = p
-    while m < target:
+    g, h, m = gbar, hbar, p
+    while m < modulus:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m = m * m
-    return g, h, m
-
-
-def _lift_factorization(f: list[int], monic_factors: list[list[int]],
-                        p: int, target: int) -> tuple[list[list[int]], int]:
-    """Lift all monic mod-p factors of f to a common modulus >= target by
-    peeling one factor at a time from the cofactor."""
-    modulus = p
-    while modulus < target:
-        modulus *= modulus
-    lifted: list[list[int]] = []
-    current = list(f)
-    for hbar in monic_factors[:-1]:
-        g, h, _ = _lift_pair(current, hbar, p, modulus)
-        lifted.append(h)
-        current = g
-    # the last cofactor is lc * (last monic factor) mod modulus
-    lifted.append(_monic(current, modulus))
-    return lifted, modulus
+        m *= m
+    return (_lift(g, monic_factors[:half], p, modulus)
+            + _lift(h, monic_factors[half:], p, modulus))
 
 
 # ----------------------------------------------------------------------------
@@ -490,14 +483,15 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     if _deg(f) == 1:
         return [list(f)]
     p = _choose_prime(f)
-    monic = _monic(_mod(f, p), p)
-    modular = _gf_factor_squarefree(monic, p, _edf_rng(monic, p))
-    modular.sort(key=lambda c: (len(c), tuple(c)))
+    modular = _gf_factors(f, p)
     if len(modular) == 1:
         return [list(f)]
 
-    target = 2 * _mignotte_bound(f) + 1
-    lifted, modulus = _lift_factorization(f, modular, p, target)
+    bound = 2 * _mignotte_bound(f) + 1
+    modulus = p
+    while modulus < bound:
+        modulus *= modulus
+    lifted = _lift(f, modular, p, modulus)
 
     out: list[list[int]] = []
     remaining = list(range(len(lifted)))
@@ -506,12 +500,8 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     while 2 * s <= len(remaining):
         found = False
         for subset in combinations(remaining, s):
-            degs = sum(_deg(lifted[i]) for i in subset)
-            if degs >= _deg(current):
-                continue
             lc = current[-1]
-            tc = (lc * _prod_mod([lifted[i][0] for i in subset], modulus)) % modulus
-            tc = _symmetric(tc, modulus)
+            tc = _symmetric(lc * prod(lifted[i][0] for i in subset), modulus)
             if tc == 0 or (lc * current[0]) % tc != 0:
                 continue
             cand = [lc]
@@ -531,13 +521,6 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     if _deg(current) >= 1:
         out.append(current)
     return out
-
-
-def _prod_mod(values: list[int], m: int) -> int:
-    acc = 1
-    for v in values:
-        acc = (acc * v) % m
-    return acc
 
 
 def factorize(poly: IntPolynomial) -> FactorizationResult:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import polycore
 from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
-from .polycore import IntPolynomial, RootSet, TrinomialSpec, require_finite
+from .polycore import IntPolynomial, RootSet, TrinomialSpec, require_float
 from .quadrature import DEFAULT_TOL, QuadResult, integrate
 
 __all__ = [
@@ -169,6 +169,8 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     are located by scanning and made panel breakpoints so the integral stays
     finite.
     """
+    require_float(spec.a, spec.b)
+
     def integrand(t):
         return np.log(np.maximum(_circle_modulus(spec, t), 1e-300))
 
@@ -178,7 +180,7 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
 
 def limit_case(a: complex, b: complex) -> LimitCase:
     """Classify (a, b) into the four large-n regimes (they partition the plane)."""
-    require_finite(a, b)
+    require_float(a, b)
     if a == 0 or b == 0:
         raise ValueError("a and b must be nonzero")
     ra, rb = abs(a), abs(b)
@@ -223,7 +225,7 @@ def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     if gcd(m, n) != 1:
         raise CoprimalityViolated(f"gcd({m}, {n}) = {gcd(m, n)} != 1")
-    require_finite(a, b)
+    require_float(a, b)
     if a == 0 or b == 0:
         raise ValueError("a and b must be nonzero")
     if abs(a) - abs(b) < 1.0:

@@ -86,6 +86,16 @@ def require_finite(*coeffs) -> None:
             raise ValueError(f"coefficients must be finite, got {c!r}")
 
 
+def require_float(*coeffs) -> None:
+    """require_finite, and refuse an int too large for floating point."""
+    require_finite(*coeffs)
+    try:
+        for c in coeffs:
+            complex(c)
+    except OverflowError:
+        raise ValueError("coefficient too large for floating point") from None
+
+
 def _as_int(x) -> int:
     if not _is_int_like(x):
         raise NonIntegerCoefficient(f"expected an integer coefficient, got {x!r}")
@@ -147,7 +157,7 @@ class FamilyForm:
             raise ValueError(f"family must be 'R', 'S' or 'T', got {self.family!r}")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
-        require_finite(self.a)
+        require_float(self.a)
         if not self.a > 0:
             raise ValueError("a must be positive")
         if self.family == "R" and (self.m % 2 == 0 or self.n % 2 == 1):
@@ -381,9 +391,9 @@ def normalize(n: int, m: int, a: int, b: int) -> tuple[FamilyForm, bool]:
 
 def _terms(p: Union[IntPolynomial, TrinomialSpec]) -> tuple[list[int], list[complex]]:
     """Ascending exponents and complex coefficients of the nonzero terms."""
-    if isinstance(p, TrinomialSpec):
-        return [0, p.m, p.n], [complex(p.b), complex(p.a), 1.0 + 0.0j]
-    terms = p.nonzero_terms()
+    terms = ([(0, p.b), (p.m, p.a), (p.n, 1)] if isinstance(p, TrinomialSpec)
+             else p.nonzero_terms())
+    require_float(*(c for _, c in terms))
     return [k for k, _ in terms], [complex(c) for _, c in terms]
 
 

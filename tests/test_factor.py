@@ -6,7 +6,7 @@ from conftest import coprime_pairs
 from trinotool.errors import CoprimalityViolated, GcdNotOne, InternalVerificationFailure
 from trinotool.factor import (
     _gf_pow_mod,
-    _lift_pair,
+    _lift,
     _mod,
     _mod_divmod,
     _mod_mul,
@@ -399,10 +399,10 @@ def test_factor_mod_prime_matches_sympy_degrees(rng):
             checked += 1
 
 
-def test_lift_pair_rejects_non_divisor():
+def test_lift_rejects_non_divisor():
     # x + 1 does not divide x^2 + 1 mod 7 (remainder 2)
     with pytest.raises(InternalVerificationFailure):
-        _lift_pair([1, 0, 1], [1, 1], 7, 7**4)
+        _lift([1, 0, 1], [[1, 1], [1, 1]], 7, 7**4)
 
 
 def test_factor_mod_prime_validates():
@@ -412,19 +412,44 @@ def test_factor_mod_prime_validates():
         factor_mod_prime(IntPolynomial.of([1, 0, 5]), 5)  # p | lc
 
 
+def _sympy_factorization(sympy, x, poly):
+    """(content, factors) from sympy.factor_list in factorize's normal form:
+    each factor primitive with positive leading coefficient, sorted by
+    (degree, ascending coefficients)."""
+    content, s_factors = sympy.factor_list(
+        sum(c * x**k for k, c in enumerate(poly.coeffs)), x)
+    factors = []
+    for f, mult in s_factors:
+        coeffs = [int(c) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+        if coeffs[-1] < 0:
+            coeffs = [-c for c in coeffs]
+            content *= (-1) ** mult
+        factors.append((tuple(coeffs), mult))
+    return int(content), sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))
+
+
 def test_factorize_against_sympy_oracle(rng):
-    # independent engine check; skipped when sympy is not installed
+    # independent engine check; skipped when sympy is not installed.  Random
+    # polynomials are mostly irreducible, so products of 4-8 small factors
+    # with repeats, x^24 - 1 and x^30 - 1 add lifts of many modular factors,
+    # where a wrong lift would leave a coarser but still exact factorization
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    checked = 0
-    while checked < 150:
+    polys = []
+    while len(polys) < 150:
         deg = rng.randint(1, 12)
         coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
-        if coeffs[-1] == 0:
-            continue
-        p = IntPolynomial(tuple(coeffs))
-        mine = sorted((f.degree, mult) for f, mult in factorize(p).factors)
-        _, s_factors = sympy.factor_list(sum(c * x**k for k, c in enumerate(coeffs)))
-        theirs = sorted((int(sympy.degree(f, x)), mult) for f, mult in s_factors)
-        assert mine == theirs, coeffs
-        checked += 1
+        if coeffs[-1] != 0:
+            polys.append(IntPolynomial(tuple(coeffs)))
+    for _ in range(40):
+        pool = [IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
+                              + (rng.choice([1, 2, 3, -1]),)) for _ in range(6)]
+        product = IntPolynomial((1,))
+        for _ in range(rng.randint(4, 8)):
+            product = product * rng.choice(pool)
+        polys.append(product)
+    polys += [IntPolynomial((-1,) + (0,) * (n - 1) + (1,)) for n in (24, 30)]
+    for p in polys:
+        result = factorize(p)
+        mine = (result.content, [(f.coeffs, mult) for f, mult in result.factors])
+        assert mine == _sympy_factorization(sympy, x, p), p.coeffs

@@ -17,7 +17,14 @@ from trinotool.mahler import (
     residue_term,
     series_measure,
 )
-from trinotool.polycore import IntPolynomial, TrinomialSpec, is_reciprocal, to_dense
+from trinotool.polycore import (
+    IntPolynomial,
+    TrinomialSpec,
+    classify_real_roots,
+    is_reciprocal,
+    normalize,
+    to_dense,
+)
 
 
 def random_spec(rng, n_max=20, a_abs_max=8, a_abs_min=1):
@@ -229,6 +236,22 @@ def test_series_cut_before_any_ratio_has_infinite_bound():
     true = measure_from_roots(TrinomialSpec(5, 2, 3, 1)).value
     assert abs(r.value - true) > 1e-3
     assert r.error_bound == math.inf
+
+
+_HUGE = 10**400  # a legal exact int that no float can hold
+
+
+@pytest.mark.parametrize("route", [
+    lambda: limit_measure(_HUGE, 1),
+    lambda: house(TrinomialSpec(5, 2, _HUGE, 1)),
+    lambda: measure_from_roots(TrinomialSpec(5, 2, _HUGE, 1)),
+    lambda: measure_jensen(TrinomialSpec(5, 2, _HUGE, 1)),
+    lambda: series_measure(5, 2, _HUGE, 1),
+    lambda: classify_real_roots(normalize(5, 2, _HUGE, 1)[0]),
+], ids=["limit", "house", "roots", "jensen", "series", "classify"])
+def test_float_routes_refuse_ints_too_large_for_float(route):
+    with pytest.raises(ValueError, match="too large for floating point"):
+        route()
 
 
 # -------------------------------------------------------- residue terms
