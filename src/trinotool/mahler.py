@@ -18,7 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from math import gcd, lgamma
 from typing import Union
 
@@ -133,33 +132,31 @@ def _jensen_result(res: QuadResult) -> MeasureResult:
 
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
     """Angles where |P(e^it)| dips toward zero, found by coarse scan plus
-    golden-section refinement (independent of the root finder)."""
-    mod = partial(_circle_modulus, spec)
+    golden-section refinement (independent of the root finder).  All dips are
+    refined together: each search step is one modulus call at the new points."""
     grid = max(64, 16 * spec.n)
     ts = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    vals = mod(ts)
-    dips = []
-    for j in range(grid):
-        v = vals[j]
-        if v < vals[j - 1] and v <= vals[(j + 1) % grid] and v < 0.75:
-            lo = ts[j] - 2 * math.pi / grid
-            hi = ts[j] + 2 * math.pi / grid
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1, f2 = mod(np.array([x1]))[0], mod(np.array([x2]))[0]
-            for _ in range(80):
-                if f1 < f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - invphi * (hi - lo)
-                    f1 = mod(np.array([x1]))[0]
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + invphi * (hi - lo)
-                    f2 = mod(np.array([x2]))[0]
-            dips.append(0.5 * (lo + hi) % (2 * math.pi))
+    vals = _circle_modulus(spec, ts)
+    dip = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals < 0.75)
     uniform = np.linspace(0.0, 2 * math.pi, max(9, spec.n + 1))[1:-1]
-    return tuple(sorted(set(dips) | set(uniform.tolist())))
+    if not dip.any():
+        return tuple(uniform.tolist())
+    lo = ts[dip] - 2 * math.pi / grid
+    hi = ts[dip] + 2 * math.pi / grid
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = _circle_modulus(spec, x1), _circle_modulus(spec, x2)
+    for _ in range(80):
+        # f1 < f2: keep [lo, x2], x1 becomes x2; else keep [x1, hi], x2 becomes x1
+        left = f1 < f2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        x = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        f = _circle_modulus(spec, x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    dips = 0.5 * (lo + hi) % (2 * math.pi)
+    return tuple(sorted(set(dips.tolist()) | set(uniform.tolist())))
 
 
 def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResult:

@@ -27,8 +27,9 @@ iterations, and certifies a root set whose residual bound is at most
 
 ``_eval_terms`` is the one evaluator at a point (Horner's rule over the nonzero
 terms, each gap's power by squaring).  ``mahler._circle_modulus`` is kept apart:
-it evaluates by angle, exp(i n t), and its scalar golden-section search in
-``_circle_breakpoints`` ran 2.5x slower through the evaluator.
+it evaluates by angle, exp(i n t); through ``evaluate`` at e^(it), Jensen took
+1.2-1.4x as long on the 200 seed-3001 benchmark ``measure`` specs and moved by
+up to 2e-14 relative on 143 of them.
 """
 
 from __future__ import annotations
@@ -468,12 +469,13 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
         dv = _eval_terms(dexps, dcoeffs, z)
         dv = np.where(dv == 0, 1e-300, dv)
         z_new = z - pv / dv
-        better = np.abs(_eval_terms(exps, coeffs, z_new)) <= np.abs(pv)
+        pv_new = _eval_terms(exps, coeffs, z_new)
+        better = np.abs(pv_new) <= np.abs(pv)
         z = np.where(better, z_new, z)
         # |P(z)| computed in floats is only trustworthy down to the evaluation
         # noise floor; without it, cancellation at multiple roots reports
         # spuriously tiny residuals and over-certifies the cluster
-        pv = np.abs(_eval_terms(exps, coeffs, z))
+        pv = np.abs(np.where(better, pv_new, pv))
         noise = 2.3e-16 * _eval_terms(exps, [abs(c) for c in coeffs], np.abs(z))
         dv = np.maximum(np.abs(_eval_terms(dexps, dcoeffs, z)), 1e-300)
         residual = float(np.max(n * (pv + noise) / dv))

@@ -68,6 +68,26 @@ def test_measure_jensen_examples():
     assert abs(measure_jensen(TrinomialSpec(5, 2, 3, 1)).value - ref) < 1e-8
 
 
+@pytest.mark.parametrize("spec, angles", [
+    # z^2 + z + 1 divides each: zeros at the primitive cube roots of unity
+    ((2, 1, 1, 1), (2 * math.pi / 3, 4 * math.pi / 3)),
+    ((5, 1, 1, 1), (2 * math.pi / 3, 4 * math.pi / 3)),
+    ((7, 2, 1, 1), (2 * math.pi / 3, 4 * math.pi / 3)),
+    # at z = e^(+-i pi/3): z^11 = e^(-+i pi/3) and -z^4 = e^(+-i pi/3) sum to 1
+    ((11, 4, -1, -1), (math.pi / 3, 5 * math.pi / 3)),
+])
+def test_circle_breakpoints_hit_unit_circle_zeros(spec, angles):
+    # none of these angles lies on the scan grid or the uniform points
+    bps = mahler._circle_breakpoints(TrinomialSpec(*spec))
+    for t in angles:
+        assert min(abs(bp - t) for bp in bps) < 1e-9, t
+
+
+def test_circle_breakpoints_without_dips_are_uniform():
+    bps = mahler._circle_breakpoints(TrinomialSpec(5, 2, 7, 1))
+    assert bps == tuple(2 * math.pi * k / 8 for k in range(1, 8))
+
+
 def test_cross_method_agreement_random():
     rng = random.Random(12345)
     for _ in range(200):
