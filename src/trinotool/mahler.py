@@ -131,48 +131,47 @@ def _jensen_result(res: QuadResult) -> MeasureResult:
 
 
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
-    """Angles where |P(e^it)| dips toward zero, found by coarse scan plus
-    golden-section refinement (independent of the root finder).  All dips are
-    refined together: each search step is one modulus call at the new points."""
-    grid = max(64, 16 * spec.n)
-    ts = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    vals = _circle_modulus(spec, ts)
-    dip = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals < 0.75)
-    uniform = np.linspace(0.0, 2 * math.pi, max(9, spec.n + 1))[1:-1]
-    if not dip.any():
-        return tuple(uniform.tolist())
-    lo = ts[dip] - 2 * math.pi / grid
-    hi = ts[dip] + 2 * math.pi / grid
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = _circle_modulus(spec, x1), _circle_modulus(spec, x2)
-    for _ in range(80):
-        # f1 < f2: keep [lo, x2], x1 becomes x2; else keep [x1, hi], x2 becomes x1
-        left = f1 < f2
-        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
-        x = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
-        f = _circle_modulus(spec, x)
-        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
-    dips = 0.5 * (lo + hi) % (2 * math.pi)
+    """Uniform angles plus the 2n angles t = (arg b +- acos c + 2 pi k) / n where
+    |e^int + b| = |a|, c = (|a|^2 - 1 - |b|^2) / (2|b|) clamped to [-1, 1].
+    |P(e^it)| >= ||e^int + b| - |a||, so every zero on the circle is one of these;
+    for |c| > 1 they are the closest approach.  Kept where that bound is < 0.75."""
+    n, ra, rb = spec.n, float(abs(spec.a)), float(abs(spec.b))
+    c = ((ra - rb) * (ra + rb) - 1.0) / (2.0 * rb)
+    phi = cmath.phase(spec.b) + math.acos(min(1.0, max(-1.0, c))) * np.array([[1.0], [-1.0]])
+    dips = ((phi + 2 * math.pi * np.arange(n)) / n % (2 * math.pi)).ravel()
+    dips = dips[np.abs(np.abs(np.exp(1j * n * dips) + spec.b) - ra) < 0.75]
+    uniform = np.linspace(0.0, 2 * math.pi, max(9, n + 1))[1:-1]
     return tuple(sorted(set(dips.tolist()) | set(uniform.tolist())))
 
 
 def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResult:
     """M via adaptive quadrature of (1/2pi) integral log|P(e^it)| dt.
 
-    Zeros on the unit circle give integrable log singularities; their angles
-    are located by scanning and made panel breakpoints so the integral stays
-    finite.
+    Zeros on the unit circle are log singularities at _circle_breakpoints.  A
+    breakpoint theta with |P| within rounding of 0 is a confirmed zero.  Beside
+    one, P(e^it) = sum c_k e^(ik theta) 2i e^(ikd/2) sin(kd/2), d = t - theta in
+    (-pi, pi] from the nearest such theta: this does not cancel at a double zero.
     """
     require_float(spec.a, spec.b)
+    bps = _circle_breakpoints(spec)
+    theta = np.array(bps)
+    floor = 8 * np.finfo(float).eps * (1 + abs(spec.a) + abs(spec.b))
+    zeros = theta[_circle_modulus(spec, theta) <= floor]
+
+    def modulus(t):
+        if not zeros.size:
+            return _circle_modulus(spec, t)
+        d = math.pi - (math.pi - (t[:, None] - zeros)) % (2 * math.pi)
+        near = np.argmin(np.abs(d), axis=1)
+        d = d[np.arange(len(t)), near]
+        mid = zeros[near] + 0.5 * d
+        return 2 * np.abs(np.exp(1j * spec.n * mid) * np.sin(0.5 * spec.n * d)
+                          + spec.a * np.exp(1j * spec.m * mid) * np.sin(0.5 * spec.m * d))
 
     def integrand(t):
-        return np.log(np.maximum(_circle_modulus(spec, t), 1e-300))
+        return np.log(np.maximum(modulus(t), 1e-300))
 
-    return _jensen_result(integrate(integrand, 0.0, 2 * math.pi, tol,
-                                    breakpoints=_circle_breakpoints(spec)))
+    return _jensen_result(integrate(integrand, 0.0, 2 * math.pi, tol, breakpoints=bps))
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import THETA0, coprime_pairs
@@ -12,6 +13,7 @@ from trinotool.mahler import (
     house,
     limit_case,
     limit_measure,
+    measure_from_root_set,
     measure_from_roots,
     measure_jensen,
     residue_term,
@@ -20,6 +22,7 @@ from trinotool.mahler import (
 from trinotool.polycore import (
     IntPolynomial,
     TrinomialSpec,
+    all_roots,
     classify_real_roots,
     is_reciprocal,
     normalize,
@@ -77,7 +80,7 @@ def test_measure_jensen_examples():
     ((11, 4, -1, -1), (math.pi / 3, 5 * math.pi / 3)),
 ])
 def test_circle_breakpoints_hit_unit_circle_zeros(spec, angles):
-    # none of these angles lies on the scan grid or the uniform points
+    # none of these angles is a uniform point: the closed-form dip angles supply them
     bps = mahler._circle_breakpoints(TrinomialSpec(*spec))
     for t in angles:
         assert min(abs(bp - t) for bp in bps) < 1e-9, t
@@ -86,6 +89,44 @@ def test_circle_breakpoints_hit_unit_circle_zeros(spec, angles):
 def test_circle_breakpoints_without_dips_are_uniform():
     bps = mahler._circle_breakpoints(TrinomialSpec(5, 2, 7, 1))
     assert bps == tuple(2 * math.pi * k / 8 for k in range(1, 8))
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ((3, 1, -3, 2), 2.0),  # (z - 1)^2 (z + 2)
+    ((6, 2, -3, 2), 2.0),  # (z^2 - 1)^2 (z^2 + 2)
+    ((2, 1, -2, 1), 1.0),  # (z - 1)^2
+])
+def test_measure_jensen_repeated_unit_circle_zeros(spec, expected):
+    r = measure_jensen(TrinomialSpec(*spec))
+    assert abs(r.value - expected) <= r.error_bound
+
+
+def test_measure_jensen_bound_holds_between_close_dips():
+    # truth from mpmath roots at 30 digits; the roots route agrees within 4.3e-12
+    r = measure_jensen(TrinomialSpec(120, 37, 2.244623910109541, 2.110423599145506))
+    assert abs(r.value - 2.5233247412280035) <= r.error_bound
+
+
+@pytest.mark.parametrize("spec", [(30, 7, 2.000000001, 1), (7, 3, 1e300, 1e300)],
+                         ids=["near-tangent", "huge"])
+def test_circle_breakpoints_closed_form_edges(spec):
+    spec = TrinomialSpec(*spec)
+    n, ra, rb = spec.n, abs(spec.a), abs(spec.b)
+    uniform = set(np.linspace(0.0, 2 * math.pi, max(9, n + 1))[1:-1].tolist())
+    dips = np.array([t for t in mahler._circle_breakpoints(spec) if t not in uniform])
+    assert dips.size
+    # ||e^int + b| - |a|| over max(1, |a|) sits at its minimum over the circle,
+    # which is 0 unless |c| > 1; scaling first keeps |a|^2 out of the check
+    s = max(1.0, ra)
+    gap = np.abs(np.abs(np.exp(1j * n * dips) / s + spec.b / s) - ra / s)
+    closest = max(0.0, ra / s - 1 / s - rb / s, abs(1 / s - rb / s) - ra / s)
+    assert np.all(gap - closest <= 1e-12)
+    jensen = measure_jensen(spec)
+    assert math.isfinite(jensen.value) and math.isfinite(jensen.error_bound)
+    rs = all_roots(spec)
+    if rs.certified:
+        roots = measure_from_root_set(rs)
+        assert abs(jensen.value - roots.value) <= jensen.error_bound + roots.error_bound
 
 
 def test_cross_method_agreement_random():

@@ -346,8 +346,8 @@ def test_cli_series_kmax_must_be_positive(value):
 
 
 def test_cli_measure_all_reports_each_failed_route(tmp_path, monkeypatch):
-    # z^3 - 3z + 2 = (z-1)^2 (z+2): Jensen exhausts its budget on the double
-    # unit-circle root; a stub raises at once instead of spending that budget
+    # a stub stands in for a Jensen route that exhausts its quadrature budget,
+    # so one route of z^3 - 3z + 2 = (z-1)^2 (z+2) fails beside two that succeed
     from trinotool import mahler
     from trinotool.errors import QuadratureBudgetExceeded
 
