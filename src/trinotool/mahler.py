@@ -28,6 +28,8 @@ from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
 from .polycore import IntPolynomial, RootSet, TrinomialSpec, require_float
 from .quadrature import DEFAULT_TOL, QuadResult, integrate
 
+_EPS = math.ulp(1.0)
+
 __all__ = [
     "MeasureResult",
     "LimitRegime",
@@ -86,6 +88,20 @@ class SeriesTerm:
     i_k: complex | None = None
 
 
+def _from_log(log_value: float, log_error: float, method: str, summed: int,
+              terms: tuple[SeriesTerm, ...] | None = None) -> MeasureResult:
+    """M = exp(log_value) where |log M - log_value| <= log_error.
+
+    The bound adds a rounding floor of (2 summed + 8) eps max(1, |log_value|)
+    for a log summed from ``summed`` parts, then turns the log error into
+    value * expm1(error): infinite from an error >= 1, and NaN stays NaN.
+    """
+    err = log_error + (2 * summed + 8) * _EPS * max(1.0, abs(log_value))
+    value = math.exp(log_value)
+    bound = math.inf if err >= 1 else value * math.expm1(err)
+    return MeasureResult(value, log_value, method, bound, terms)
+
+
 def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial]) -> MeasureResult:
     """M(P) = |leading| * prod max(1, |root|) from a certified root set."""
     lead = abs(p.coeffs[-1]) if isinstance(p, IntPolynomial) else 1.0
@@ -99,13 +115,7 @@ def measure_from_root_set(rs: RootSet, lead: float = 1.0) -> MeasureResult:
         mod = abs(r)
         if mod > 1.0:
             log_value += math.log(mod)
-    value = math.exp(log_value)
-    return MeasureResult(
-        value=value,
-        log_value=log_value,
-        method="roots",
-        error_bound=value * len(rs.roots) * rs.residual_bound,
-    )
+    return _from_log(log_value, len(rs.roots) * rs.residual_bound, "roots", len(rs.roots))
 
 
 def house(p: Union[TrinomialSpec, IntPolynomial]) -> float:
@@ -120,14 +130,7 @@ def _circle_modulus(spec: TrinomialSpec, t):
 
 def _jensen_result(res: QuadResult) -> MeasureResult:
     """M from a quadrature of log|P| over the unit circle: exp(integral / 2pi)."""
-    log_value = res.value / (2 * math.pi)
-    value = math.exp(log_value)
-    return MeasureResult(
-        value=value,
-        log_value=log_value,
-        method="jensen",
-        error_bound=value * math.expm1(res.error / (2 * math.pi)),
-    )
+    return _from_log(res.value / (2 * math.pi), res.error / (2 * math.pi), "jensen", res.panels)
 
 
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
@@ -155,7 +158,7 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     require_float(spec.a, spec.b)
     bps = _circle_breakpoints(spec)
     theta = np.array(bps)
-    floor = 8 * np.finfo(float).eps * (1 + abs(spec.a) + abs(spec.b))
+    floor = 8 * _EPS * (1 + abs(spec.a) + abs(spec.b))
     zeros = theta[_circle_modulus(spec, theta) <= floor]
 
     def modulus(t):
@@ -252,67 +255,44 @@ def _term_parts(k: int, n: int, m: int, a: complex, b: complex) -> tuple[float, 
     return envelope, cosf
 
 
-_RATIO_WINDOW = 10
-_RATIO_LIMIT = 1.0 - 1e-6
-
-
 def series_measure(n: int, m: int, a: complex, b: complex,
                    tol: float = 1e-12, k_max: int = 10000) -> MeasureResult:
     """Exact-series evaluation of log M, truncated at |term| < tol or k_max.
 
-    Requires gcd(m, n) = 1, |a| - |b| >= 1 and k_max >= 1.  A persistent
-    envelope ratio >= 1 - 1e-6 over ten consecutive terms raises
-    DivergenceDetected instead of returning a value (the boundary
-    |a| - |b| = 1 can be marginal).  A sum cut at k_max before any term ratio
-    was seen has no tail estimate and reports an infinite error bound.
+    Requires gcd(m, n) = 1, |a| - |b| >= 1 and k_max >= 1.  With N = kn,
+    K = km, L = k(n-m) and theta = m^m (n-m)^(n-m) / n^n, Robbins' Stirling
+    bounds (Amer. Math. Monthly 62 (1955)) put C(N, K) theta^k between
+    exp(1/(12N+1) - 1/(12K) - 1/(12L)) and exp(1/(12N) - 1/(12K+1) - 1/(12L+1))
+    times sqrt(n / (2 pi k m (n-m))).  The k-th term is at most
+    t_k = C(N, K) theta^k rho^k / N with rho = n^n |b|^(n-m) / (m^m (n-m)^(n-m) |a|^n),
+    so t_(k+1) / t_k < rho (k/(k+1))^(3/2) exp(1/(6k)) < rho for every k >= 1,
+    and the tail after K terms is at most t_K rho / (1 - rho).  In the domain
+    rho <= 1, with equality only at |a| = n/m, |b| = (n-m)/m, where the terms
+    decay like k^(-3/2): a rho of 1 to rounding raises DivergenceDetected.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     _check_series_domain(n, m, a, b)
+    parts = (n * math.log(n), -m * math.log(m), -(n - m) * math.log(n - m),
+             (n - m) * math.log(abs(b)), -n * math.log(abs(a)))
+    log_rho = sum(parts)
+    if log_rho >= -4 * _EPS * sum(map(abs, parts)):
+        raise DivergenceDetected(
+            f"series term ratio tends to rho = {math.exp(log_rho):.17g}, which is 1 "
+            f"to rounding: the terms decay like k^(-3/2)")
     total = 0.0
     terms: list[SeriesTerm] = []
-    prev_env = None
-    high_ratio_run = 0
-    last_ratio = None
     for k in range(1, k_max + 1):
         env, cosf = _term_parts(k, n, m, a, b)
         sign = -1.0 if (k * n) % 2 else 1.0
         s_k = sign * env * cosf / (k * m)
         terms.append(SeriesTerm(k=k, closed_form=s_k))
         total += s_k
-        env_scaled = env / (k * m)
-        if prev_env is not None and prev_env > 0.0:
-            last_ratio = env_scaled / prev_env
-            if last_ratio >= _RATIO_LIMIT:
-                high_ratio_run += 1
-                if high_ratio_run >= _RATIO_WINDOW:
-                    raise DivergenceDetected(
-                        f"series terms stopped decaying near k={k} "
-                        f"(ratio {last_ratio:.8f})"
-                    )
-            else:
-                high_ratio_run = 0
-        prev_env = env_scaled
-        if env_scaled < tol:
-            rho = min(max(last_ratio or 0.0, 0.0), 0.99)
-            tail = env_scaled * rho / (1.0 - rho)
+        if env / (k * m) < tol:
             break
-    else:
-        if last_ratio is None:
-            tail = math.inf
-        else:
-            rho = min(max(last_ratio, 0.0), 0.999999)
-            tail = prev_env * rho / (1.0 - rho)
-
-    log_value = math.log(abs(a)) - total
-    value = math.exp(log_value)
-    return MeasureResult(
-        value=value,
-        log_value=log_value,
-        method="series",
-        error_bound=value * (math.expm1(tail) if tail < 1 else float("inf")),
-        terms=tuple(terms),
-    )
+    rho = math.exp(log_rho)
+    tail = env / (k * m) * rho / -math.expm1(log_rho)
+    return _from_log(math.log(abs(a)) - total, tail, "series", k, tuple(terms))
 
 
 def residue_term(k: int, n: int, m: int, a: complex, b: complex,
@@ -333,14 +313,7 @@ def residue_term(k: int, n: int, m: int, a: complex, b: complex,
     else:
         j = k // m
         # residue at infinity = -(-1)^(jn) C(jn-1, k-1) b^(j(n-m)) a^(-jn)
-        ln_binom = lgamma(j * n) - lgamma(k) - lgamma(j * n - k + 1)
-        ln_mag = j * (n - m) * math.log(abs(b)) - j * n * math.log(abs(a))
-        env = math.exp(ln_binom + ln_mag)
-        if isinstance(a, complex) or isinstance(b, complex):
-            phase = j * (n - m) * cmath.phase(complex(b)) - j * n * cmath.phase(complex(a))
-            cosf = math.cos(phase)
-        else:
-            cosf = _sign_power(b, j * (n - m)) * _sign_power(a, j * n)
+        env, cosf = _term_parts(j, n, m, a, b)
         sign = -1.0 if (j * n) % 2 else 1.0
         closed = -(1.0 / k) * sign * env * cosf
 

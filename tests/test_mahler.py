@@ -271,12 +271,21 @@ def test_series_preconditions():
         series_measure(3, 4, 3, 1)
 
 
-def test_series_divergence_monitor(monkeypatch):
-    # the boundary |a| - |b| = 1 with m/n = 1/2 decays only like k^(-3/2);
-    # tightening the monitor threshold must trip the guard rather than loop
-    monkeypatch.setattr(mahler, "_RATIO_LIMIT", 0.9)
-    with pytest.raises(DivergenceDetected):
-        series_measure(2, 1, 2, 1)
+def test_from_log_bound_keeps_nan_and_adds_rounding_floor():
+    # a NaN log error is a defect to report, not an infinite bound to hide it
+    assert math.isnan(mahler._from_log(0.0, math.nan, "roots", 3).error_bound)
+    assert mahler._from_log(0.0, 1.0, "roots", 3).error_bound == math.inf
+    r = mahler._from_log(math.log(1e12), 0.0, "series", 1)
+    assert r.value == pytest.approx(1e12, rel=1e-15)
+    assert r.error_bound == pytest.approx(1e12 * 10 * 2.0**-52 * math.log(1e12), rel=1e-12)
+
+
+def test_series_divergence_at_unit_limit_ratio():
+    # |a| = n/m and |b| = (n-m)/m give rho = 1: the terms decay only like
+    # k^(-3/2), and 10 000 of them gave 1.00566 +- 0.00189 for M(z^2 - 2z + 1) = 1
+    for spec in [(2, 1, 2, 1), (2, 1, -2, 1), (3, 1, -3, 2)]:
+        with pytest.raises(DivergenceDetected):
+            series_measure(*spec)
 
 
 def test_series_term_envelope_decreasing():
@@ -291,12 +300,16 @@ def test_series_rejects_nonpositive_k_max(k_max):
         series_measure(5, 2, 3, 1, k_max=k_max)
 
 
-def test_series_cut_before_any_ratio_has_infinite_bound():
-    # one term gives 3.02479 against a true 3.02378 and no ratio to bound the tail
-    r = series_measure(5, 2, 3, 1, k_max=1)
-    true = measure_from_roots(TrinomialSpec(5, 2, 3, 1)).value
-    assert abs(r.value - true) > 1e-3
-    assert r.error_bound == math.inf
+def test_series_short_cut_bound_covers_error():
+    # the first term ratios of z^5 + 3z^2 + 1 are still rising toward rho, so a
+    # tail taken from the last observed ratio under-covered at k_max = 2 and 3
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        true = float(mpmath.fprod(max(1, abs(z)) for z in mpmath.polyroots([1, 0, 0, 3, 0, 1])))
+    for k_max in (1, 2, 3):
+        r = series_measure(5, 2, 3, 1, k_max=k_max)
+        assert len(r.terms) == k_max
+        assert abs(r.value - true) <= r.error_bound < 1e-2
 
 
 _HUGE = 10**400  # a legal exact int that no float can hold
