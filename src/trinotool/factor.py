@@ -1,12 +1,14 @@
 """Irreducibility over Q and a complete integer polynomial factorization engine.
 
 Pipeline: content/primitive split -> squarefree decomposition (Yun) -> modular
-factorization at a good prime (distinct-degree then Cantor-Zassenhaus
-equal-degree splitting) -> quadratic Hensel lifting past the coefficient bound
-over a balanced factor tree (ceil(log2 r) levels for r modular factors, not
-r - 1 cofactor lifts) -> factor recombination by subset search with
-trailing-coefficient pruning.  Every factorization is verified by exact
-re-expansion before it is returned.
+factorization at a good prime (blocked distinct-degree then Cantor-Zassenhaus
+equal-degree splitting) -> quadratic Hensel lifting past the half-degree
+coefficient bound, which covers every factor of at most half the degree, over
+a balanced factor tree (ceil(log2 r) levels for r modular factors, not r - 1
+cofactor lifts) -> factor recombination by subset search over subsets of at
+most half the degree, with trailing-coefficient pruning; a larger factor is
+what is left over.  Every factorization is verified by exact re-expansion
+before it is returned.
 
 Two cheap certificates run before the engine: the large-middle-coefficient
 threshold (|a| >= n^2/3 forces x^n + a x^m +/- 1 irreducible when gcd(m,n)=1)
@@ -22,7 +24,9 @@ products taken by polycore.dense_mul over Z (one big-int product by Kronecker
 substitution) and reduced once.  _mod_divmod subtracts only the divisor's
 nonzero terms, and the distinct-degree split keeps x^(p^d) reduced modulo the
 input polynomial, a sparse trinomial for scan inputs, rather than modulo the
-shrinking cofactor, so its Frobenius powers reduce in O(deg) per product.
+shrinking cofactor, so its Frobenius powers, and the products of
+x^(p^d) - x over a block of sqrt(deg) consecutive d that share one gcd,
+reduce in O(deg) per product.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import combinations
-from math import exp, gcd, isqrt, log, log1p, prod
+from math import comb, exp, gcd, isqrt, log, log1p, prod
 from random import Random
 
 from .errors import (
@@ -366,20 +370,36 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
 
     h = x^(p^d) is kept reduced modulo f itself, which stays sparse when f is
     a trinomial, and not modulo the shrinking cofactor v: since v divides f,
-    gcd(h - x, v) is the same either way."""
+    gcd(h - x, v) is the same either way.  Degrees are taken in blocks of
+    B = isqrt(deg f) (the interval step of von zur Gathen and Shoup): one gcd
+    of v with the product of the block's h - x finds whether any degree in it
+    has factors, and only a block with a nontrivial gcd g is split by degree,
+    with gcd(h - x, g) in increasing d.  The last block stops at deg(v)/2,
+    past which what is left of v is irreducible."""
     out: list[list[int]] = []
+    block = isqrt(_deg(f))  # >= 1 whenever the loop runs
     h = [0, 1]  # x
     v = list(f)
     d = 0
     while _deg(v) >= 2 * (d + 1):
-        d += 1
-        h = _gf_pow_mod(h, p, f, p)
-        g = _gf_gcd(_mod_sub(h, [0, 1], p), v, p)
+        top = min(d + block, _deg(v) // 2)
+        diffs = []
+        acc = [1]
+        for _ in range(d, top):
+            h = _gf_pow_mod(h, p, f, p)
+            diffs.append(_mod_sub(h, [0, 1], p))
+            acc = _mod_divmod(dense_mul(acc, diffs[-1]), f, p)[1]
+        g = _gf_gcd(acc, v, p)
         if _deg(g) > 0:
-            out.extend(_gf_edf(g, d, p, rng))
             v = _monic(_mod_divmod(v, g, p)[0], p)
-            if _deg(v) == 0:
-                break
+            for e, diff in enumerate(diffs, d + 1):
+                ge = _gf_gcd(diff, g, p)
+                if _deg(ge) > 0:
+                    out.extend(_gf_edf(ge, e, p, rng))
+                    g = _monic(_mod_divmod(g, ge, p)[0], p)
+                    if _deg(g) == 0:
+                        break
+        d = top
     if _deg(v) > 0:
         out.append(v)
     return out
@@ -465,8 +485,18 @@ def _symmetric(x: int, m: int) -> int:
 
 
 def _mignotte_bound(f: list[int]) -> int:
+    """Half-degree coefficient bound for the Zassenhaus lift.
+
+    For every factor g of f over Z with deg g <= deg f / 2, the coefficients of
+    lc(f) g / lc(g) are at most this bound in absolute value: by Mignotte's
+    inequality |g_j| <= binom(d, j) |lc(g) / lc(f)| ||f||_2 for deg g = d, and
+    binom(d, j) <= binom(k, k // 2) with k = deg f // 2 (Beauzamy, Trevisan and
+    Wang, JSC 15, 1993); the factor |lc(f)| is a margin.  A reducible f always
+    has such a factor, so recombination looks only for factors of at most half
+    the degree and finds a larger one as its cofactor."""
+    k = _deg(f) // 2
     l2 = isqrt(sum(c * c for c in f)) + 1
-    return (1 << _deg(f)) * l2 * abs(f[-1])
+    return comb(k, k // 2) * l2 * abs(f[-1])
 
 
 def _choose_prime(f: list[int]) -> int:
@@ -493,13 +523,19 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
         modulus *= modulus
     lifted = _lift(f, modular, p, modulus)
 
+    # only factors of at most half the degree are within the bound: a subset
+    # of modular factors whose degrees sum to more is never a candidate, and a
+    # larger factor is found as what is left of current.  The modular factors
+    # are sorted by degree, so remaining[:s] is the lightest subset of size s
+    degs = [_deg(c) for c in modular]
     out: list[list[int]] = []
     remaining = list(range(len(lifted)))
     current = list(f)
     s = 1
-    while 2 * s <= len(remaining):
-        found = False
+    while s <= len(remaining) and 2 * sum(degs[i] for i in remaining[:s]) <= _deg(current):
         for subset in combinations(remaining, s):
+            if 2 * sum(map(degs.__getitem__, subset)) > _deg(current):
+                continue
             lc = current[-1]
             tc = _symmetric(lc * prod(lifted[i][0] for i in subset), modulus)
             if tc == 0 or (lc * current[0]) % tc != 0:
@@ -514,9 +550,8 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
                 out.append(cand)
                 current = q
                 remaining = [i for i in remaining if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             s += 1
     if _deg(current) >= 1:
         out.append(current)

@@ -1,15 +1,25 @@
 import random
+from math import isqrt
 
 import pytest
 
 from conftest import coprime_pairs
+from trinotool import factor
 from trinotool.errors import CoprimalityViolated, GcdNotOne, InternalVerificationFailure
 from trinotool.factor import (
+    _choose_prime,
+    _gf_edf,
+    _gf_factors,
+    _gf_gcd,
+    _gf_is_squarefree,
     _gf_pow_mod,
     _lift,
+    _mignotte_bound,
     _mod,
     _mod_divmod,
     _mod_mul,
+    _mod_sub,
+    _monic,
     factor_mod_prime,
     factorize,
     integer_kth_root,
@@ -453,3 +463,155 @@ def test_factorize_against_sympy_oracle(rng):
         result = factorize(p)
         mine = (result.content, [(f.coeffs, mult) for f, mult in result.factors])
         assert mine == _sympy_factorization(sympy, x, p), p.coeffs
+
+
+# -------------------------------------------------------- half-degree bound and blocked split
+
+# the perfbench `factor` set (x^n + a x^m + c as {n: 1, m: a, 0: c})
+FACTOR_SET = (
+    {63: 1, 4: -3, 0: 1}, {93: 1, 58: 8, 0: 1}, {124: 1, 27: -6, 0: -1},
+    {71: 1, 40: -5, 0: -1}, {66: 1, 1: 2, 0: 1}, {112: 1, 55: 2, 0: 1},
+    {68: 1, 19: 1, 0: 1}, {122: 1, 97: 1, 0: 1}, {60: 1, 30: -3, 0: 2},
+    {96: 1, 48: -3, 0: 2},
+)
+
+
+def _sparse(terms):
+    coeffs = [0] * (max(terms) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return IntPolynomial(tuple(coeffs))
+
+
+def _grid(n_max=24):
+    """The scan grid: x^n + a x^m + b, gcd(m, n) = 1, |a| in 2..4, b = +-1."""
+    return [(n, m, a, b) for n, m in coprime_pairs(n_max, n_min=3)
+            for a in (-4, -3, -2, 2, 3, 4) for b in (-1, 1)]
+
+
+def test_recombination_finds_a_factor_of_most_modular_factors(monkeypatch):
+    # f = g h: g = x^3 - 2x^2 - x + 1 is irreducible over Q but three linears
+    # mod 13, h is irreducible of degree 9 mod 13.  The smaller factor g is the
+    # product of 3 of the 4 modular factors, more than half of them, and h,
+    # above half the degree, is not covered by the bound
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    g = [1, -1, -2, 1]
+    h = [-1, -3, -2, 2, 3, 0, -3, 42, 1, 1]
+    f = dense_mul(g, h)
+    assert _choose_prime(f) == 13
+    assert [len(c) - 1 for c in _gf_factors(f, 13)] == [1, 1, 1, 9]
+    # the tightest valid half-degree bound is g's largest coefficient, 2; it
+    # lifts to 13 only, and h's 42 lies outside the symmetric range mod 13
+    monkeypatch.setattr(factor, "_mignotte_bound", lambda c: max(map(abs, g)))
+    poly = IntPolynomial(tuple(f))
+    result = factorize(poly)
+    mine = (result.content, [(c.coeffs, mult) for c, mult in result.factors])
+    assert mine == _sympy_factorization(sympy, x, poly)
+    # every candidate divided out is of at most half the current degree
+    divisions = []
+    exact = factor._divmod_exact
+
+    def recording(a, b):
+        divisions.append((len(a) - 1, len(b) - 1))
+        return exact(a, b)
+
+    monkeypatch.setattr(factor, "_divmod_exact", recording)
+    assert sorted(factor._zassenhaus_squarefree(f)) == sorted([g, h])
+    assert divisions and all(2 * dc <= df for df, dc in divisions), divisions
+
+
+def _per_degree_factor_squarefree(f, p, rng):
+    """The distinct-degree split with one gcd per degree d: the reference
+    for the blocked split."""
+    out = []
+    h = [0, 1]
+    v = list(f)
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _gf_pow_mod(h, p, f, p)
+        g = _gf_gcd(_mod_sub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            out.extend(_gf_edf(g, d, p, rng))
+            v = _monic(_mod_divmod(v, g, p)[0], p)
+            if len(v) == 1:
+                break
+    if len(v) > 1:
+        out.append(v)
+    return out
+
+
+def _per_degree_gf_factors(f, p):
+    # the monic irreducible factors are unique, so the sorted list does not
+    # depend on the equal-degree split's random draws
+    factors = _per_degree_factor_squarefree(_monic(_mod(f, p), p), p, random.Random(0))
+    return sorted(factors, key=lambda c: (len(c), tuple(c)))
+
+
+def test_blocked_split_matches_per_degree_on_grid():
+    # B = isqrt(n) <= 4 here, so block edges and the stop at deg(v)/2 are
+    # met at many places.  Both splits see only f mod p, so each residue
+    # class of cells is checked once
+    residues = {(p, tuple(_mod(list(tri(*cell).coeffs), p))): cell
+                for cell in _grid() for p in (5, 7, 11, 13)}
+    checked = 0
+    for (p, f), cell in residues.items():
+        if _gf_is_squarefree(list(f), p):
+            assert _gf_factors(list(f), p) == _per_degree_gf_factors(f, p), (cell, p)
+            checked += 1
+    assert checked > 5000
+
+
+def _random_irreducible(rng, d, p):
+    while True:
+        c = [rng.randrange(p) for _ in range(d)] + [1]
+        if c[0] and _gf_is_squarefree(c, p) and len(_per_degree_gf_factors(c, p)) == 1:
+            return c
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("degrees", [[3, 4, 1, 1], [4, 5, 5, 2], [4, 4, 5, 3],
+                                     [5, 6, 6, 5, 3, 1], [6, 7, 7, 6, 10]])
+def test_blocked_split_at_block_edges(rng, p, degrees):
+    block = isqrt(sum(degrees))
+    assert block in degrees and block + 1 in degrees
+    for _ in range(3):
+        factors = []
+        for d in degrees:
+            c = _random_irreducible(rng, d, p)
+            while c in factors:
+                c = _random_irreducible(rng, d, p)
+            factors.append(c)
+        f = [1]
+        for c in factors:
+            f = _mod_mul(f, c, p)
+        assert _gf_factors(f, p) == _per_degree_gf_factors(f, p)
+        assert _gf_factors(f, p) == sorted(factors, key=lambda c: (len(c), tuple(c)))
+
+
+def _factors_within_bound(sympy, x, poly):
+    coeffs = list(poly.coeffs)
+    bound = _mignotte_bound(coeffs)
+    _, s_factors = sympy.factor_list(sum(c * x**k for k, c in enumerate(coeffs)), x)
+    checked = 0
+    for g, _ in s_factors:
+        g = [int(c) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        if 2 * (len(g) - 1) > poly.degree:
+            continue
+        # lc(f) g / lc(g) is integral: lc(g) divides lc(f)
+        scaled = [c * coeffs[-1] // g[-1] for c in g]
+        assert [c * g[-1] for c in scaled] == [c * coeffs[-1] for c in g]
+        assert max(map(abs, scaled)) <= bound, (poly.coeffs, g)
+        checked += 1
+    return checked
+
+
+def test_half_degree_bound_bounds_small_factors():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    # Phi_105, a factor of x^105 - 1, has a coefficient -2
+    polys = [IntPolynomial((-1,) + (0,) * (n - 1) + (1,)) for n in (24, 30, 105)]
+    polys += [_sparse(terms) for terms in FACTOR_SET]
+    polys += [tri(*cell) for cell in _grid() if is_irreducible(tri(*cell)).reducible]
+    assert sum(_factors_within_bound(sympy, x, poly) for poly in polys) > len(polys)
