@@ -128,9 +128,11 @@ def _circle_modulus(spec: TrinomialSpec, t):
     return np.abs(np.exp(1j * spec.n * t) + spec.a * np.exp(1j * spec.m * t) + spec.b)
 
 
-def _jensen_result(res: QuadResult) -> MeasureResult:
-    """M from a quadrature of log|P| over the unit circle: exp(integral / 2pi)."""
-    return _from_log(res.value / (2 * math.pi), res.error / (2 * math.pi), "jensen", res.panels)
+def _jensen_result(res: QuadResult, spread: float = 0.0) -> MeasureResult:
+    """M from a quadrature of log|P| over the unit circle: exp(integral / 2pi),
+    with the integral's error estimate widened by spread."""
+    return _from_log(res.value / (2 * math.pi), (res.error + spread) / (2 * math.pi),
+                     "jensen", res.panels)
 
 
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
@@ -154,6 +156,10 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     breakpoint theta with |P| within rounding of 0 is a confirmed zero.  Beside
     one, P(e^it) = sum c_k e^(ik theta) 2i e^(ikd/2) sin(kd/2), d = t - theta in
     (-pi, pi] from the nearest such theta: this does not cancel at a double zero.
+
+    The integral is taken twice, at tol and at tol/10.  The finer value is
+    returned, with log error (fine error + |fine - coarse|) / 2pi: on a sharp
+    dip of |P| without a zero the panel estimate alone can understate the error.
     """
     require_float(spec.a, spec.b)
     bps = _circle_breakpoints(spec)
@@ -174,7 +180,9 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     def integrand(t):
         return np.log(np.maximum(modulus(t), 1e-300))
 
-    return _jensen_result(integrate(integrand, 0.0, 2 * math.pi, tol, breakpoints=bps))
+    coarse = integrate(integrand, 0.0, 2 * math.pi, tol, breakpoints=bps)
+    fine = integrate(integrand, 0.0, 2 * math.pi, tol / 10, breakpoints=bps)
+    return _jensen_result(fine, abs(fine.value - coarse.value))
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod (G7/K15) quadrature with worst-panel-first refinement.
+"""Adaptive Gauss-Kronrod (G7/K15) quadrature, refined worst-panel-first in rounds.
 
 Integrands are vectorised callables (ndarray -> ndarray, real or complex).
 Panels never place nodes on their endpoints, so integrable endpoint
@@ -10,11 +10,17 @@ which panels were refined.
 ``integrate`` refines until the summed panel error estimate is at most its
 ``tol`` keyword (default ``DEFAULT_TOL``), and gives up with
 QuadratureBudgetExceeded once ``_MAX_EVALS`` integrand evaluations are spent.
+It refines in rounds: each round halves a batch of panels and evaluates all
+their 15-point nodes with one call of the integrand.  The batch is the fewest
+worst panels whose errors add up to more than the excess over ``tol``.  A
+worst-first heap could not stop before splitting each of them (halving replaces
+an error by two non-negative ones), and it splits them in the same order as
+long as no half is worse than the batch's last panel, the usual case once the
+rule converges on a panel.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,72 +75,62 @@ class QuadResult:
     panels: int
 
 
-def _panel(f, a: float, b: float):
+def _panels(f, a, b):
+    """K15 values and error estimates of the panels [a_i, b_i], one call of f."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    y = np.asarray(f(x))
-    resk = half * np.sum(_WK * y)
-    resg = half * np.sum(_WGFULL * y)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    y = np.broadcast_to(f(x.ravel()), (x.size,)).reshape(x.shape)
+    resk = half * np.sum(_WK * y, axis=1)
+    resg = half * np.sum(_WGFULL * y, axis=1)
     # QUADPACK-style inflation of the raw |K - G| estimate on rough panels
-    resasc = abs(half) * float(np.sum(_WK * np.abs(y - resk / (b - a))))
-    raw = abs(resk - resg)
-    if resasc != 0.0 and raw != 0.0:
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    return resk, err
+    resasc = np.abs(half) * np.sum(_WK * np.abs(y - (resk / (b - a))[:, None]), axis=1)
+    raw = np.abs(resk - resg)
+    rough = resasc != 0.0
+    ratio = 200.0 * raw / np.where(rough, resasc, 1.0)
+    return resk, np.where(rough, resasc * np.minimum(1.0, ratio ** 1.5), raw)
 
 
 def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
               breakpoints: tuple[float, ...] = ()) -> QuadResult:
     """Integrate f over [lo, hi], splitting initially at the given breakpoints.
 
-    Raises QuadratureBudgetExceeded when _MAX_EVALS function evaluations were
-    spent and the summed panel error estimate still exceeds tol.
+    Each round halves, in one call of f, the fewest worst panels (stable order
+    by error) whose errors add up to more than the total error minus tol: the
+    panels a worst-first heap would split next (see the module docstring).  A
+    panel narrower than 1e-15 (hi - lo) is never split; its error stays in
+    the total.  A round is cut down to the splits that fit in _MAX_EVALS
+    evaluations.  Raises QuadratureBudgetExceeded when not even one split
+    fits and the summed panel error estimate still exceeds tol.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
-    pts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
-    panels = []  # (-err, tie, a, b, value, err)
-    tie = 0
-    evals = 0
-    err_total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, err = _panel(f, a, b)
-        evals += 15
-        err_total += err
-        heapq.heappush(panels, (-err, tie, a, b, val, err))
-        tie += 1
-
-    frozen: list[tuple[float, float, complex, float]] = []  # (a, b, val, err)
+    pts = np.array(sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)}), dtype=float)
+    val, err = _panels(f, pts[:-1], pts[1:])
+    evals = 15 * len(val)
     width_floor = 1e-15 * (hi - lo)
 
-    while panels and err_total > tol:
-        if evals + 30 > _MAX_EVALS:
-            value = sum(p[4] for p in panels) + sum(p[2] for p in frozen)
+    while (err_total := err.sum()) > tol:
+        live = np.flatnonzero(np.diff(pts) >= width_floor)
+        if not live.size:
+            break
+        worst = live[np.argsort(-err[live], kind="stable")]
+        count = 1 + np.count_nonzero(np.cumsum(err[worst]) <= err_total - tol)
+        fits = (_MAX_EVALS - evals) // 30
+        if fits < 1:
             raise QuadratureBudgetExceeded(
                 f"quadrature budget of {_MAX_EVALS} evaluations exhausted "
                 f"(error estimate {err_total:.3e} > {tol:.3e})",
-                value=value,
-                error=err_total,
+                value=sum(val.tolist()),
+                error=float(err_total),
             )
-        _, _, a, b, val, err = heapq.heappop(panels)
-        if b - a < width_floor:
-            frozen.append((a, b, val, err))
-            continue
-        mid = 0.5 * (a + b)
-        v1, e1 = _panel(f, a, mid)
-        v2, e2 = _panel(f, mid, b)
-        evals += 30
-        err_total += e1 + e2 - err
-        heapq.heappush(panels, (-e1, tie, a, mid, v1, e1))
-        tie += 1
-        heapq.heappush(panels, (-e2, tie, mid, b, v2, e2))
-        tie += 1
+        split = np.sort(worst[:min(count, fits)])
+        mid = 0.5 * (pts[split] + pts[split + 1])
+        v, e = _panels(f, np.concatenate([pts[split], mid]), np.concatenate([mid, pts[split + 1]]))
+        evals += 15 * len(v)
+        val[split], err[split] = v[:len(split)], e[:len(split)]
+        val = np.insert(val, split + 1, v[len(split):])
+        err = np.insert(err, split + 1, e[len(split):])
+        pts = np.insert(pts, split + 1, mid)
 
-    pieces = [(p[2], p[4], p[5]) for p in panels] + [(a, v, e) for a, b, v, e in frozen]
-    pieces.sort(key=lambda t: t[0])  # fixed reduction order
-    value = sum(p[1] for p in pieces)
-    error = sum(p[2] for p in pieces)
-    return QuadResult(value=value, error=error, evals=evals, panels=len(pieces))
+    return QuadResult(value=sum(val.tolist()), error=sum(err.tolist()), evals=evals,
+                      panels=len(val))

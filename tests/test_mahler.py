@@ -28,6 +28,7 @@ from trinotool.polycore import (
     normalize,
     to_dense,
 )
+from trinotool.quadrature import QuadResult
 
 
 def random_spec(rng, n_max=20, a_abs_max=8, a_abs_min=1):
@@ -278,6 +279,23 @@ def test_from_log_bound_keeps_nan_and_adds_rounding_floor():
     r = mahler._from_log(math.log(1e12), 0.0, "series", 1)
     assert r.value == pytest.approx(1e12, rel=1e-15)
     assert r.error_bound == pytest.approx(1e12 * 10 * 2.0**-52 * math.log(1e12), rel=1e-12)
+
+
+def test_jensen_bound_adds_the_gap_between_its_two_passes(monkeypatch):
+    # the coarse pass at tol and the fine one at tol/10 differ by 2 pi * 1e-6 in
+    # the integral: the bound must cover that gap, not only the fine estimate
+    passes = iter([QuadResult(0.0, 1e-12, 15, 1), QuadResult(2 * math.pi * 1e-6, 1e-13, 15, 1)])
+    tols = []
+
+    def fake(f, lo, hi, tol, breakpoints=()):
+        tols.append(tol)
+        return next(passes)
+
+    monkeypatch.setattr(mahler, "integrate", fake)
+    r = measure_jensen(TrinomialSpec(5, 2, 3, 1), tol=1e-8)
+    assert tols == [1e-8, 1e-9]
+    assert r.log_value == pytest.approx(1e-6, rel=1e-12)
+    assert r.error_bound >= r.value * math.expm1(1e-6)
 
 
 def test_series_divergence_at_unit_limit_ratio():

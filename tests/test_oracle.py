@@ -137,12 +137,10 @@ def test_limit_within_bound(a, b):
     assert abs(r.value - true) <= r.error_bound
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 9, Jensen estimate on a sharp dip: |P| has no zero on the circle "
-    "but dips to 1.4e-3, and the panel error estimate 9.9e-11 understates the "
-    "error 4.3e-10"))
 @pytest.mark.parametrize("a", [6, -6])
 def test_jensen_sharp_dip_within_bound(a):
+    # |P| has no zero on the circle but dips to 1.4e-3; a single pass at the
+    # default tol estimated 9.9e-11 for an error of 4.3e-10
     true_m, _ = mp_measure(120, 77, a, -5)
     r = measure_jensen(TrinomialSpec(120, 77, a, -5))
     assert abs(r.value - true_m) <= r.error_bound
