@@ -500,11 +500,23 @@ def _mignotte_bound(f: list[int]) -> int:
 
 
 def _choose_prime(f: list[int]) -> int:
+    """The least prime p >= 5 with f squarefree mod p and p not dividing lc(f).
+
+    A squarefree f fails only at primes dividing lc(f) disc(f), and there are
+    at most log2 |lc(f) disc(f)| of them, with |disc(f)| <= n^n ||f||_2^(2n-2)
+    (Mahler, 1964) for n = deg f.  More failures than that prove f is not
+    squarefree over Z, and raise ValueError."""
+    n = _deg(f)
+    allowed = (abs(f[-1]).bit_length() + n * n.bit_length()
+               + (n - 1) * sum(c * c for c in f).bit_length())
     p = 5
-    while True:
-        if _is_prime(p) and f[-1] % p != 0 and _gf_is_squarefree(_mod(f, p), p):
-            return p
+    while allowed >= 0:
+        if _is_prime(p):
+            if f[-1] % p != 0 and _gf_is_squarefree(_mod(f, p), p):
+                return p
+            allowed -= 1
         p += 2
+    raise ValueError("polynomial is not squarefree over Z")
 
 
 def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:

@@ -2,10 +2,37 @@
 convergence tables against the large-n measure limits, and a crash-safe
 JSON-lines results cache.
 
-Scan work items are independent (n, m, a, b) tuples dispatched to a process
-pool; completed records are appended to the cache one line at a time and the
-emitted output is sorted canonically, so runs are deterministic regardless of
-the worker count and an interrupted scan resumes from the cache.
+The unit of work is an orbit of pending cells under two maps that send such a
+trinomial P to another one with the same factor degrees:
+
+- z -> -z: (n, m, a, b) -> (n, m, a (-1)^(n+m), b (-1)^n), the polynomial
+  (-1)^n P(-z) (``polycore._reflect``);
+- reversal: (n, m, a, b) -> (n, n - m, ab, b), the polynomial b z^n P(1/z).
+
+They commute, so an orbit has 1, 2 or 4 cells; only the cells that are
+pending in this scan belong to it, so it may have 3.  The first cell is
+factored with ``factor.is_irreducible``.  Every cell, the first too, gets that
+factorization mapped factor by factor (g(z) -> g(-z), g -> its coefficient
+reversal, each with a positive leading coefficient, sorted canonically) and
+checked by exact re-expansion against its own polynomial; a mismatch is that
+cell's ``InternalVerificationFailure`` record.  The certificate is the first
+cell's, and it is the one ``is_irreducible`` would give every cell, because it
+reads P = x^n + B x^m + C (A = 1, |C| = 1) only through orbit invariants:
+
+- ``threshold`` reads |B| = |a|, n and gcd(m, n) = gcd(n - m, n);
+- the Schinzel conditions read |A| = |C| = 1, |B|, g = gcd(m, n) and
+  n1 = n/g; (a) and (b) read m1 = m/g only through |A|^m1 |C|^(n1-m1) = 1,
+  m1 (n1 - m1) and (m/n) log|A| + ((n-m)/n) log|C| = 0, all unchanged by
+  m1 -> n1 - m1; (c) and (d) read the sign of A C = b only for q = 2 or 4
+  dividing g, so when g is even, and then n is even and neither map
+  changes b;
+- the factorizer certificates follow from the factor degrees, which the maps
+  keep.
+
+Roots are still solved for each cell.  Orbits go to a process pool; completed
+records are appended to the cache one line at a time and the emitted output is
+sorted canonically, so runs are deterministic regardless of the worker count,
+and an interrupted scan resumes from the cache.
 """
 
 from __future__ import annotations
@@ -16,11 +43,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
 from . import factor, mahler, polycore
-from .polycore import TrinomialSpec, to_dense
+from .errors import InternalVerificationFailure
+from .polycore import IntPolynomial, TrinomialSpec, to_dense
 
 __all__ = [
     "ScanRecord",
@@ -38,7 +67,10 @@ class ScanRecord:
     """One scanned trinomial; unique per (n, m, a, b).
 
     ``factor_degrees`` sums to n; two or more entries iff reducible.
-    ``elapsed`` (seconds) is informational and excluded from equality so that
+    ``elapsed`` (seconds) is the cell's own time: its root solve and its check
+    of the mapped factorization, plus, for the first cell of its orbit, the
+    shared ``is_irreducible`` call, so the elapsed times of a scan sum to its
+    compute time.  It is informational and excluded from equality so that
     records survive cache round trips and thread-count changes unchanged.
     """
 
@@ -68,31 +100,85 @@ class ConvergenceRow:
     gap: float
 
 
-def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
-    """Factor one trinomial and attach its measure and house."""
+def _orbit_moves(item: tuple[int, int, int, int]
+                 ) -> dict[tuple[int, int, int, int], tuple[bool, bool]]:
+    """Every cell of item's orbit, item first, with the (negate, reverse) move
+    that maps item's polynomial to it: reverse sends (n, m, a, b) to
+    (n, n - m, ab, b), the reversal b z^n P(1/z); negate then applies
+    z -> -z, made monic again (``polycore._reflect``).  The two moves
+    commute, so the orbit has 1, 2 or 4 cells."""
     n, m, a, b = item
-    start = time.perf_counter()
+    moves: dict[tuple[int, int, int, int], tuple[bool, bool]] = {}
+    for reverse in (False, True):
+        mm, aa = (n - m, a * b) if reverse else (m, a)
+        for negate in (False, True):
+            signs = polycore._reflect(n, mm, (aa, b)) if negate else (aa, b)
+            moves.setdefault((n, mm, *signs), (negate, reverse))
+    return moves
+
+
+def _orbits(pending: list[tuple[int, int, int, int]]
+            ) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """Group the pending cells by orbit, each orbit in the order of its
+    first cell in pending; an orbit holds only pending cells, so a resumed
+    scan may split one."""
+    left = dict.fromkeys(pending)
+    orbits = []
+    for item in pending:
+        if item in left:
+            orbit = tuple(cell for cell in _orbit_moves(item) if cell in left)
+            for cell in orbit:
+                del left[cell]
+            orbits.append(orbit)
+    return orbits
+
+
+def _map_factor(g: IntPolynomial, negate: bool, reverse: bool) -> IntPolynomial:
+    c = list(g.coeffs)
+    if reverse:
+        c.reverse()
+    if negate:
+        c = [-x if k % 2 else x for k, x in enumerate(c)]
+    if c[-1] < 0:
+        c = [-x for x in c]
+    return IntPolynomial(tuple(c))
+
+
+def _factor_degrees(verdict: factor.IrreducibilityVerdict, move: tuple[bool, bool],
+                    dense: IntPolynomial) -> tuple[int, ...]:
+    """Factor degrees of the cell whose polynomial is dense, from the verdict
+    of the orbit's first cell mapped by move and checked by re-expansion."""
+    found = verdict.factorization
+    if found is None:
+        return (dense.degree,)
+    mapped = factor.FactorizationResult(
+        content=found.content,
+        factors=tuple(sorted(((_map_factor(g, *move), k) for g, k in found.factors),
+                             key=lambda gk: (gk[0].degree, gk[0].coeffs))),
+    )
+    if mapped.expand() != dense:
+        raise InternalVerificationFailure(
+            f"mapped factorization does not expand to {dense.coeffs}")
+    return tuple(sorted(g.degree for g, k in mapped.factors for _ in range(k)))
+
+
+def _cell_record(item: tuple[int, int, int, int],
+                 verdict: factor.IrreducibilityVerdict | Exception,
+                 move: tuple[bool, bool], start: float) -> ScanRecord:
+    n, m, a, b = item
     try:
+        if isinstance(verdict, Exception):
+            raise verdict
         spec = TrinomialSpec(n, m, a, b)
-        dense = to_dense(spec)
-        verdict = factor.is_irreducible(dense)
-        if verdict.factorization is not None:
-            degrees = tuple(
-                sorted(p.degree for p, mult in verdict.factorization.factors
-                       for _ in range(mult))
-            )
-        else:
-            degrees = (n,)
+        degrees = _factor_degrees(verdict, move, to_dense(spec))
         roots = polycore.all_roots(spec)
-        measure = mahler.measure_from_root_set(roots).value
-        hse = roots.max_modulus()
         return ScanRecord(
             n=n, m=m, a=a, b=b,
             reducible=verdict.reducible,
             factor_degrees=degrees,
             certificate=verdict.certificate,
-            measure=measure,
-            house=hse,
+            measure=mahler.measure_from_root_set(roots).value,
+            house=roots.max_modulus(),
             elapsed=time.perf_counter() - start,
         )
     except Exception as exc:  # errored rows are reported, never dropped
@@ -103,6 +189,28 @@ def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
             elapsed=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
+
+
+def _scan_orbit(orbit: Sequence[tuple[int, int, int, int]]) -> list[ScanRecord]:
+    """The records of one orbit of cells (see the module docstring): one
+    ``factor.is_irreducible`` call on the first cell, a root solve per cell."""
+    start = time.perf_counter()
+    try:
+        verdict = factor.is_irreducible(to_dense(TrinomialSpec(*orbit[0])))
+    except Exception as exc:  # every cell of the orbit reports it
+        verdict = exc
+    moves = _orbit_moves(orbit[0])
+    records = []
+    for item in orbit:
+        records.append(_cell_record(item, verdict, moves[item], start))
+        start = time.perf_counter()
+    return records
+
+
+def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
+    """Factor one trinomial and attach its measure and house: the scan of a
+    one-cell orbit."""
+    return _scan_orbit((item,))[0]
 
 
 def _sort_key(rec: ScanRecord):
@@ -198,12 +306,13 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
     with ExitStack() as stack:
         cache_fh = (stack.enter_context(open(cache_path, "a", encoding="utf-8"))
                     if cache_path else None)
-        if threads > 1 and len(pending) > 1:
+        orbits = _orbits(pending)
+        if threads > 1 and len(orbits) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
-            results = pool.map(compute_scan_record, pending, chunksize=8)
+            results = pool.map(_scan_orbit, orbits, chunksize=2)
         else:
-            results = map(compute_scan_record, pending)
-        for rec in results:
+            results = map(_scan_orbit, orbits)
+        for rec in chain.from_iterable(results):
             records[rec.key] = rec
             if cache_fh:
                 cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")

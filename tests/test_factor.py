@@ -521,6 +521,17 @@ def test_recombination_finds_a_factor_of_most_modular_factors(monkeypatch):
     assert divisions and all(2 * dc <= df for df, dc in divisions), divisions
 
 
+def test_choose_prime_refuses_input_not_squarefree():
+    # (x + 1)^2 and (x^2 - 2)^2 (x + 3) are squarefree mod no prime
+    with pytest.raises(ValueError, match="not squarefree"):
+        _choose_prime([1, 2, 1])
+    with pytest.raises(ValueError, match="not squarefree"):
+        _choose_prime(dense_mul(dense_mul([-2, 0, 1], [-2, 0, 1]), [3, 1]))
+    # x^2 - N^2 with N = 5 * 7 * ... * 23 fails at every prime below 29
+    n_sq = (5 * 7 * 11 * 13 * 17 * 19 * 23) ** 2
+    assert _choose_prime([-n_sq, 0, 1]) == 29
+
+
 def _per_degree_factor_squarefree(f, p, rng):
     """The distinct-degree split with one gcd per degree d: the reference
     for the blocked split."""

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from trinotool import scan
+from trinotool import factor, mahler, polycore, scan
 from trinotool.cli import cli_dispatch
+from trinotool.polycore import TrinomialSpec, to_dense
 from trinotool.scan import (
     ConvergenceRow,
     ScanRecord,
@@ -89,6 +90,91 @@ def test_scan_cache_resume(tmp_path):
     assert again == full
     cached_after = open(cache).read().strip().splitlines()
     assert len(cached_after) == len(lines)
+
+
+def _cache_records(cache):
+    with open(cache) as fh:
+        return [record_from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
+def _orbit_of(n, m, a, b):
+    # z -> -z and the reversal b z^n P(1/z), written out independently of scan
+    return frozenset({(n, m, a, b), (n, m, a * (-1) ** (n + m), b * (-1) ** n),
+                      (n, n - m, a * b, b), (n, n - m, a * b * (-1) ** m, b * (-1) ** n)})
+
+
+def test_scan_orbits_match_per_cell_factoring(tmp_path):
+    # a in {-2, 1, 2, 3} with both signs and non-coprime cells gives orbits of
+    # 1, 2, 3 and 4 pending cells; every record, irreducible ones too, must be
+    # what factoring and solving that cell on its own gives
+    args = (16, [-2, 1, 2, 3], (-1, 1))
+    items = scan._work_items(*args, coprime_only=False)
+    assert {len(o) for o in scan._orbits(items)} == {1, 2, 3, 4}
+    cache = str(tmp_path / "cache.jsonl")
+    scan_conjecture(*args, coprime_only=False, cache_path=cache)
+    records = _cache_records(cache)
+    assert sorted(r.key for r in records) == sorted(items)
+    for rec in records:
+        spec = TrinomialSpec(*rec.key)
+        verdict = factor.is_irreducible(to_dense(spec))
+        found = verdict.factorization
+        degrees = (tuple(sorted(g.degree for g, k in found.factors for _ in range(k)))
+                   if found else (rec.n,))
+        roots = polycore.all_roots(spec)
+        assert rec.error is None, rec
+        assert (rec.reducible, rec.factor_degrees, rec.certificate, rec.measure, rec.house) == (
+            verdict.reducible, degrees, verdict.certificate,
+            mahler.measure_from_root_set(roots).value, roots.max_modulus()), rec
+
+
+def test_scan_factors_once_per_orbit(tmp_path, monkeypatch):
+    calls = []
+    factorize = factor.factorize
+
+    def spy(poly):
+        calls.append(poly)
+        return factorize(poly)
+
+    monkeypatch.setattr(factor, "factorize", spy)
+    cache = str(tmp_path / "cache.jsonl")
+    scan_conjecture(9, [-3, 3], cache_path=cache)
+    factored = [r.key for r in _cache_records(cache)
+                if r.certificate in ("factorizer", "witness")]
+    orbits = {_orbit_of(*key) for key in factored}
+    assert len(factored) == 4 * len(orbits)
+    assert len(calls) == len(orbits)
+
+
+def test_scan_orbit_mapping_errors_are_records(monkeypatch):
+    orbit = sorted(_orbit_of(8, 3, 3, -1))
+    good = scan._scan_orbit(orbit)
+    assert [r.error for r in good] == [None] * 4
+    assert all(r.factor_degrees == (3, 5) for r in good)
+    # a wrong mapped factor fails the re-expansion check of its cell
+    monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse: g)
+    bad = scan._scan_orbit(orbit)
+    assert bad[0] == good[0]
+    assert all(r.certificate == "error" and r.measure is None
+               and r.error.startswith("InternalVerificationFailure") for r in bad[1:])
+
+    # an error of the shared factorization is every cell's record
+    def broken(poly):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(factor, "is_irreducible", broken)
+    assert [r.error for r in scan._scan_orbit(orbit)] == ["ValueError: boom"] * 4
+
+
+def test_scan_cache_resume_split_orbits(tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    full = scan_conjecture(10, [-3, -2, 2, 3], cache_path=cache)
+    lines = open(cache).read().strip().splitlines()
+    # every other line kept: most orbits are split between cache and rerun
+    with open(cache, "w") as fh:
+        fh.write("\n".join(lines[::2]) + "\n")
+    assert scan_conjecture(10, [-3, -2, 2, 3], cache_path=cache) == full
+    keys = [r.key for r in _cache_records(cache)]
+    assert len(keys) == len(set(keys)) == len(lines)
 
 
 def test_record_json_round_trip():
