@@ -166,7 +166,8 @@ def _cmd_house(args, out: _Output) -> int:
 def _cmd_roots(args, out: _Output) -> int:
     spec = TrinomialSpec(args.n, args.m, args.a, args.b)
     rs = all_roots(spec)
-    out.config.update(residual_bound=rs.residual_bound, certified=rs.certified)
+    out.config.update(residual_bound=rs.residual_bound, certified=rs.certified,
+                      iterations=rs.iterations)
     records = [
         {"re": r.real, "im": r.imag, "modulus": abs(r)} for r in rs.roots
     ]

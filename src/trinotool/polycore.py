@@ -17,13 +17,19 @@ rules live only in ``FamilyForm``.  z -> -z, times (-1)^n to stay monic, maps
 the pattern (s, t) to (s (-1)^(n+m), t (-1)^n) (``_reflect``); ``normalize``
 and ``classify_real_roots`` are derived from these two rules.
 
-Complex roots are found by Aberth-Ehrlich simultaneous iteration with a
-trinomial-aware initialisation (root moduli cluster on the two circles
-(|b|/|a|)^(1/m) and |a|^(1/(n-m)) when |a| dominates), followed by one Newton
-polish and residual-based certification.  The iteration stops once every
-relative correction is below ``_ABERTH_TOL``, gives up after ``_MAX_ITER``
-iterations, and certifies a root set whose residual bound is at most
-``_CERT_TOL``; none of the three is a parameter.
+Complex roots are found by Aberth-Ehrlich simultaneous iteration, followed by
+one Newton polish and residual-based certification.  A trinomial's start
+points lie on the root circles of the upper Newton polygon of (0, log|b|),
+(m, log|a|), (n, 0) (Bini 1996, section 3): with (m, log|a|) above the chord,
+m on (|b|/|a|)^(1/m) and n - m on |a|^(1/(n-m)), exactly at the proto-roots of
+a z^m + b and z^(n-m) + a when |a| > |b| + 1; on or below it, n on |b|^(1/n).
+The boundary |a| = |b| + 1, where the repeated roots on the unit circle live,
+and dense input start on one generic circle instead: seeding the boundary on
+its hull moves the computed pair at the double root of (z +/- 1)^2 by up to
+9e-9, and dense input stays the independent side of the cross-check.  The
+iteration stops once every relative correction is below ``_ABERTH_TOL``, gives
+up after ``_MAX_ITER`` iterations, and certifies a root set whose residual
+bound is at most ``_CERT_TOL``; none of the three is a parameter.
 
 ``_eval_terms`` is the one evaluator at a point (Horner's rule over the nonzero
 terms, each gap's power by squaring).  ``mahler._circle_modulus`` is kept apart:
@@ -398,27 +404,52 @@ def _terms(p: Union[IntPolynomial, TrinomialSpec]) -> tuple[list[int], list[comp
     return [k for k, _ in terms], [complex(c) for _, c in terms]
 
 
+_SEED_PHASE = 0.39996  # angle offset of every seed ring, so no seed is real
+
+
+def _ring(radius: float, k: int, phase: float) -> np.ndarray:
+    """k points spaced evenly on the circle |z| = radius, the first at angle phase."""
+    return radius * np.exp(1j * (2 * math.pi * np.arange(k) / k + phase))
+
+
 def _initial_points(p: Union[IntPolynomial, TrinomialSpec], coeffs: list[complex],
                     n: int) -> np.ndarray:
-    if isinstance(p, TrinomialSpec) and abs(p.a) > abs(p.b) + 1:
-        # roots cluster near the two circles; seed with the exact proto-roots
-        # of a z^m + b = 0 and z^(n-m) + a = 0
+    """Aberth start points: a trinomial off the boundary |a| = |b| + 1 starts
+    on the root circles of its upper Newton polygon (module docstring); the
+    boundary and dense input start on one generic circle."""
+    if isinstance(p, TrinomialSpec) and abs(p.a) != abs(p.b) + 1:
         m, d = p.m, p.n - p.m
-        inner_c = -p.b / p.a
-        outer_c = -complex(p.a)
-        r_in = abs(inner_c) ** (1.0 / m)
-        r_out = abs(outer_c) ** (1.0 / d)
-        th_in = cmath.phase(inner_c)
-        th_out = cmath.phase(outer_c)
-        pts = [r_in * cmath.exp(1j * (th_in + 2 * math.pi * j) / m) for j in range(m)]
-        pts += [r_out * cmath.exp(1j * (th_out + 2 * math.pi * j) / d) for j in range(d)]
-        return np.asarray(pts, dtype=complex)
-    # coeffs[0] is the nonzero constant term
+        if abs(p.a) > abs(p.b) + 1:
+            # roots cluster near the two circles; seed with the exact
+            # proto-roots of a z^m + b = 0 and z^(n-m) + a = 0
+            inner_c = -p.b / p.a
+            outer_c = -complex(p.a)
+            r_in = abs(inner_c) ** (1.0 / m)
+            r_out = abs(outer_c) ** (1.0 / d)
+            th_in = cmath.phase(inner_c)
+            th_out = cmath.phase(outer_c)
+            pts = [r_in * cmath.exp(1j * (th_in + 2 * math.pi * j) / m) for j in range(m)]
+            pts += [r_out * cmath.exp(1j * (th_out + 2 * math.pi * j) / d) for j in range(d)]
+            return np.asarray(pts, dtype=complex)
+        # one ring per edge of the hull, on that edge's root circle.  The rings
+        # are turned by _SEED_PHASE, or a real polynomial's iterates would stay
+        # real, and the outer ring by pi/n more, or at m = n - m the two rings
+        # of equal radius next to the chord would coincide
+        log_a, log_b = math.log(abs(p.a)), math.log(abs(p.b))
+        if log_a > log_b * d / n:  # (m, log|a|) above the chord: two edges
+            return np.concatenate((_ring(math.exp((log_b - log_a) / m), m, _SEED_PHASE),
+                                   _ring(math.exp(log_a / d), d, _SEED_PHASE + math.pi / n)))
+        return _ring(math.exp(log_b / n), n, _SEED_PHASE)
+    # the generic circle.  The boundary stays here: its repeated roots on the
+    # unit circle, the double root of (z +/- 1)^2, move by up to 9e-9 when it
+    # starts on its hull.  Dense input stays here as the independent side of
+    # the cross-check against the trinomial seeds.  coeffs[0] is the nonzero
+    # constant term
     mags = [abs(c) for c in coeffs]
     hi = 1.0 + max(mags[:-1]) / mags[-1]
     lo = mags[0] / (mags[0] + max(mags[1:]))
     radius = math.sqrt(max(lo, 1e-6) * hi)
-    angles = 2 * math.pi * np.arange(n) / n + 0.7 / n + 0.39996
+    angles = 2 * math.pi * np.arange(n) / n + 0.7 / n + _SEED_PHASE
     radii = radius * (1.0 + 0.06 * np.cos(3.7 * np.arange(n)))
     return radii * np.exp(1j * angles)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import THETA0, bisect_root, coprime_pairs, expand_from_roots
+from trinotool import polycore
 from trinotool.errors import (
     ClassificationMismatch,
     NonIntegerCoefficient,
@@ -226,17 +227,70 @@ def test_all_roots_round_trip(rng):
 
 
 def test_all_roots_trinomial_matches_dense_input():
-    # the trinomial seeds its iteration on the two root circles, the dense
-    # input on one generic circle: both must reach the same roots
+    # dense input starts on one generic circle.  A trinomial off the boundary
+    # starts on its Newton-polygon root circles: |a| > |b| + 1 on the exact
+    # proto-roots, |a| < |b| + 1 (the second list) on one or two rings.  On
+    # the boundary |a| = |b| + 1 (a = +/-2, b = +/-1) both start on the
+    # generic circle, so those entries only check that the two inputs agree
+    cases = [(a, b) for a in (2, -2, 3, -3, 5) for b in (1, -1)]
+    cases += [(a, b) for a in (1, -1, 2, -2) for b in (3, -3, 4, -5)]
     for n, m in coprime_pairs(30):
-        for a in (2, -2, 3, -3, 5):
-            for b in (1, -1):
-                spec = TrinomialSpec(n, m, a, b)
-                unmatched = list(all_roots(to_dense(spec)).roots)
-                for r in all_roots(spec).roots:
-                    nearest = min(unmatched, key=lambda s: abs(s - r))
-                    assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r)), (spec, r)
-                    unmatched.remove(nearest)
+        for a, b in cases:
+            spec = TrinomialSpec(n, m, a, b)
+            unmatched = list(all_roots(to_dense(spec)).roots)
+            for r in all_roots(spec).roots:
+                nearest = min(unmatched, key=lambda s: abs(s - r))
+                assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r)), (spec, r)
+                unmatched.remove(nearest)
+
+
+@pytest.mark.parametrize("n, m, a, b", [
+    (2, 1, -2, 3),  # real, complex roots: real seeds would stay real
+    (2, 1, -3, 5),
+    (2, 1, 2 - 1j, 5),  # (m, log|a|) on the chord with m = n - m: the
+    (12, 6, 2 - 1j, 5),  # two rings must not coincide
+])
+def test_all_roots_hull_seeds_leave_the_real_axis_and_the_chord(n, m, a, b):
+    rs = all_roots(TrinomialSpec(n, m, a, b))
+    assert rs.certified and all(np.isfinite(r) for r in rs.roots)
+    dense = np.zeros(n + 1, dtype=complex)  # descending, for numpy.roots
+    dense[0], dense[n - m], dense[n] = 1, a, b
+    unmatched = list(np.roots(dense))
+    for r in rs.roots:
+        nearest = min(unmatched, key=lambda s: abs(s - r))
+        assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r)), r
+        unmatched.remove(nearest)
+
+
+@pytest.mark.parametrize("n, m, a, b, most", [
+    (240, 77, 0.5, 4, 10),  # below the chord: one ring
+    (240, 151, 0.3, 0.4, 10),
+    (240, 119, 1 + 1j, 2 - 2j, 10),
+    (240, 77, 2.5, 3, 20),  # above the chord with |a| < |b| + 1: two rings
+])
+def test_all_roots_hull_seeds_converge_fast(n, m, a, b, most):
+    # on one generic circle these took 84, 56, 57 and 48 iterations
+    rs = all_roots(TrinomialSpec(n, m, a, b))
+    assert rs.certified and rs.iterations <= most
+
+
+def test_initial_points_follow_the_newton_polygon():
+    def moduli(n, m, a, b):
+        spec = TrinomialSpec(n, m, a, b)
+        return sorted(abs(z) for z in polycore._initial_points(spec, [], n))
+
+    # |a| > |b| + 1 and above the chord with |a| < |b| + 1: m seeds on
+    # (|b|/|a|)^(1/m), n - m on |a|^(1/(n-m))
+    for a, b in ((5, 2), (2.5, 3)):
+        assert moduli(9, 4, a, b) == pytest.approx(
+            [(b / a) ** (1 / 4)] * 4 + [a ** (1 / 5)] * 5)
+    # on or below the chord: n seeds on |b|^(1/n)
+    assert moduli(9, 4, 0.5, 4) == pytest.approx([4 ** (1 / 9)] * 9)
+    assert moduli(8, 4, 2, 4) == pytest.approx([4 ** (1 / 8)] * 8)
+    # the boundary |a| = |b| + 1 and dense input: the generic circle
+    for p in (TrinomialSpec(9, 4, 3, 2), to_dense(TrinomialSpec(9, 4, 5, 2))):
+        _, coeffs = polycore._terms(p)
+        assert len(set(abs(z) for z in polycore._initial_points(p, coeffs, 9))) > 2
 
 
 def test_all_roots_deterministic():

@@ -260,6 +260,16 @@ def test_cli_house_roots_factor_irreducible(tmp_path):
     labels = {r["label"]: r["value"] for r in env["records"] if "label" in r}
     assert labels["r1"] == pytest.approx(1.3074861009619814, abs=1e-10)
 
+    # the Aberth iteration count rides in the envelope's config; on the
+    # boundary |a| = |b| + 1 the roots start on the generic circle, off it on
+    # the Newton-polygon rings
+    for n, m, a, b in ((240, 77, 0.5, 4), (24, 5, 2, -1)):
+        rc, text = run_cli(tmp_path, "roots", *map(str, (n, m, a, b)), "--format", "json")
+        config = json.loads(text)["config"]
+        assert rc == 0 and config["certified"] is True
+        rs = polycore.all_roots(TrinomialSpec(n, m, a, b))
+        assert config["iterations"] == rs.iterations > 0
+
     rc, text = run_cli(tmp_path, "factor", "6", "2", "56", "-1", "--format", "json")
     assert rc == 0
     recs = json.loads(text)["records"]
