@@ -2,13 +2,17 @@
 
 Pipeline: content/primitive split -> squarefree decomposition (Yun) -> modular
 factorization at a good prime (blocked distinct-degree then Cantor-Zassenhaus
-equal-degree splitting) -> quadratic Hensel lifting past the half-degree
-coefficient bound, which covers every factor of at most half the degree, over
-a balanced factor tree (ceil(log2 r) levels for r modular factors, not r - 1
-cofactor lifts) -> factor recombination by subset search over subsets of at
-most half the degree, with trailing-coefficient pruning; a larger factor is
-what is left over.  Every factorization is verified by exact re-expansion
-before it is returned.
+equal-degree splitting) -> quadratic Hensel lifting over a balanced factor
+tree, one level (p^k to p^2k, one step per inner node) at a time, up to the
+half-degree coefficient bound, which covers every factor of at most half the
+degree -> factor recombination by subset search over subsets of at most half
+the degree, with trailing-coefficient pruning; a larger factor is what is left
+over.  The candidate subsets come from one stream, in order of size: once the
+modulus exceeds 2 |lc(f) f(0)|, each level of the lift drops the subsets
+that fail the trailing-coefficient test, which no true factor fails, and an
+empty stream proves the input irreducible without the rest of the lift
+(the early test of Abbott, Shoup and Zimmermann, ISSAC 2000).  Every
+factorization is verified by exact re-expansion before it is returned.
 
 Two cheap certificates run before the engine: the large-middle-coefficient
 threshold (|a| >= n^2/3 forces x^n + a x^m +/- 1 irreducible when gcd(m,n)=1)
@@ -24,16 +28,17 @@ products taken by polycore.dense_mul over Z (one big-int product by Kronecker
 substitution) and reduced once.  _mod_divmod subtracts only the divisor's
 nonzero terms, and the distinct-degree split keeps x^(p^d) reduced modulo the
 input polynomial, a sparse trinomial for scan inputs, rather than modulo the
-shrinking cofactor, so its Frobenius powers, and the products of
-x^(p^d) - x over a block of sqrt(deg) consecutive d that share one gcd,
-reduce in O(deg) per product.
+shrinking cofactor, so the products of x^(p^d) - x over a block of sqrt(deg)
+consecutive d that share one gcd reduce in O(deg) per product.  Each
+Frobenius power is taken by substitution, h(x)^p = h(x^p) over GF(p), at one
+reduction of O(p deg) by the trinomial (von zur Gathen and Shoup, 1992).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, exp, gcd, isqrt, log, log1p, prod
 from random import Random
 
@@ -334,6 +339,16 @@ def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return acc
 
 
+def _gf_frobenius(h: list[int], f: list[int], p: int) -> list[int]:
+    """h^p modulo f over GF(p), for h reduced mod p: h(x)^p = h(x^p), so h's
+    coefficients are spread to every p-th exponent and reduced once by f.
+    Against a sparse f (the input trinomial) that costs O(p deg f), where
+    binary powering takes about log2 p products and reductions."""
+    spread = [0] * (p * (len(h) - 1) + 1)
+    spread[::p] = h
+    return _mod_divmod(spread, f, p)[1]
+
+
 def _gf_is_squarefree(f: list[int], p: int) -> bool:
     d = _mod(_derivative(f), p)
     if not d:
@@ -370,7 +385,9 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
 
     h = x^(p^d) is kept reduced modulo f itself, which stays sparse when f is
     a trinomial, and not modulo the shrinking cofactor v: since v divides f,
-    gcd(h - x, v) is the same either way.  Degrees are taken in blocks of
+    gcd(h - x, v) is the same either way.  Each next h = h^p is taken by
+    substitution, h(x^p) reduced once by f (_gf_frobenius), rather than by
+    binary powering.  Degrees are taken in blocks of
     B = isqrt(deg f) (the interval step of von zur Gathen and Shoup): one gcd
     of v with the product of the block's h - x finds whether any degree in it
     has factors, and only a block with a nontrivial gcd g is split by degree,
@@ -386,7 +403,7 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
         diffs = []
         acc = [1]
         for _ in range(d, top):
-            h = _gf_pow_mod(h, p, f, p)
+            h = _gf_frobenius(h, f, p)
             diffs.append(_mod_sub(h, [0, 1], p))
             acc = _mod_divmod(dense_mul(acc, diffs[-1]), f, p)[1]
         g = _gf_gcd(acc, v, p)
@@ -452,28 +469,60 @@ def _hensel_step(f: list[int], g: list[int], h: list[int],
     return g2, h2, s2, t2
 
 
-def _lift(f: list[int], monic_factors: list[list[int]], p: int,
-          modulus: int) -> list[list[int]]:
-    """Lift the monic, pairwise coprime mod-p factors of f to monic factors
-    mod modulus, a power p^(2^k), over a balanced factor tree: each node lifts
-    f = g h, h the product of the second half of the factors, by quadratic
-    Hensel steps and recurses on both halves."""
-    if len(monic_factors) == 1:
-        return [_monic(f, modulus)]
-    half = len(monic_factors) // 2
-    hbar = [1]
-    for c in monic_factors[half:]:
-        hbar = _mod_mul(hbar, c, p)
-    gbar, rem = _mod_divmod(f, hbar, p)
-    if rem:
-        raise InternalVerificationFailure(f"hbar does not divide f mod {p}")
-    _, s, t = _gf_gcdext(gbar, hbar, p)
-    g, h, m = gbar, hbar, p
-    while m < modulus:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m *= m
-    return (_lift(g, monic_factors[:half], p, modulus)
-            + _lift(h, monic_factors[half:], p, modulus))
+class _FactorTree:
+    """The monic, pairwise coprime mod-p factors of f on a balanced factor
+    tree, lifted one quadratic Hensel level at a time.
+
+    Each inner node splits its polynomial as g h, h monic and the product of
+    the second half of its factors, and keeps (g, h, s, t) with s g + t h = 1
+    at the current modulus.  lift() takes the modulus m to m^2 by one
+    _hensel_step per inner node, top down, so that every node lifts against
+    its parent's new g or h.  Hensel lifts are unique: after k levels the
+    factors are those that a lift straight to p^(2^k) gives."""
+
+    def __init__(self, f: list[int], monic_factors: list[list[int]], p: int):
+        self.f = f
+        self.modulus = p
+        self.root = self._build(f, monic_factors, p)
+
+    @classmethod
+    def _build(cls, f: list[int], monic_factors: list[list[int]], p: int):
+        """[g, h, s, t, g's subtree, h's subtree] mod p; None for a leaf."""
+        if len(monic_factors) == 1:
+            return None
+        half = len(monic_factors) // 2
+        hbar = [1]
+        for c in monic_factors[half:]:
+            hbar = _mod_mul(hbar, c, p)
+        gbar, rem = _mod_divmod(f, hbar, p)
+        if rem:
+            raise InternalVerificationFailure(f"hbar does not divide f mod {p}")
+        _, s, t = _gf_gcdext(gbar, hbar, p)
+        return [gbar, hbar, s, t, cls._build(gbar, monic_factors[:half], p),
+                cls._build(hbar, monic_factors[half:], p)]
+
+    def lift(self) -> None:
+        m = self.modulus
+        stack = [(self.f, self.root)]
+        while stack:
+            f, node = stack.pop()
+            if node is not None:
+                node[:4] = _hensel_step(f, *node[:4], m)
+                stack += [(node[0], node[4]), (node[1], node[5])]
+        self.modulus = m * m
+
+    def factors(self) -> list[list[int]]:
+        """The monic lifted factors mod the current modulus, in the order of
+        the mod-p factors the tree was built from."""
+        out = []
+        stack = [(self.f, self.root)]
+        while stack:
+            f, node = stack.pop()
+            if node is None:
+                out.append(_monic(f, self.modulus))
+            else:
+                stack += [(node[1], node[5]), (node[0], node[4])]
+        return out
 
 
 # ----------------------------------------------------------------------------
@@ -519,6 +568,35 @@ def _choose_prime(f: list[int]) -> int:
     raise ValueError("polynomial is not squarefree over Z")
 
 
+def _subsets(remaining: list[int], degs: list[int], limit: int, size: int):
+    """The subsets of remaining of at least size elements whose degrees sum
+    to at most limit, by size and then in combinations order.  remaining is
+    sorted by degree, so remaining[:s] is the lightest subset of size s."""
+    while size <= len(remaining) and sum(degs[i] for i in remaining[:size]) <= limit:
+        for subset in combinations(remaining, size):
+            if sum(map(degs.__getitem__, subset)) <= limit:
+                yield subset
+        size += 1
+
+
+def _passing(subsets, lifted: list[list[int]], f: list[int], modulus: int):
+    """The subsets of lifted factors that pass the trailing-coefficient test:
+    the constant term of lc(f) prod(lifted[subset]), taken as a symmetric
+    residue mod modulus, divides lc(f) f(0).  The constant term of every
+    factor of f scaled to leading coefficient lc(f) does, once modulus
+    exceeds 2 |lc(f) f(0)|."""
+    lc = f[-1]
+    target = lc * f[0]
+    half = modulus // 2
+    consts = [c[0] for c in lifted]
+    for subset in subsets:
+        tc = lc * prod(map(consts.__getitem__, subset)) % modulus
+        if tc > half:
+            tc -= modulus
+        if tc and target % tc == 0:
+            yield subset
+
+
 def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with positive leading
     coefficient and nonzero constant term."""
@@ -529,30 +607,40 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     if len(modular) == 1:
         return [list(f)]
 
-    bound = 2 * _mignotte_bound(f) + 1
-    modulus = p
-    while modulus < bound:
-        modulus *= modulus
-    lifted = _lift(f, modular, p, modulus)
-
     # only factors of at most half the degree are within the bound: a subset
     # of modular factors whose degrees sum to more is never a candidate, and a
-    # larger factor is found as what is left of current.  The modular factors
-    # are sorted by degree, so remaining[:s] is the lightest subset of size s
+    # larger factor is found as what is left of current.  Candidates come
+    # from one stream, which every level of the lift advances past the
+    # subsets that fail the trailing-coefficient test, once the modulus
+    # exceeds 2 |lc(f) f(0)|: a true factor passes at every such level, and
+    # so does every subset that passes at a higher one, so a subset that
+    # fails once is never tested again.  An empty stream proves f irreducible
+    bound = 2 * _mignotte_bound(f) + 1
+    stop = 2 * abs(f[-1] * f[0])
+    tree = _FactorTree(f, modular, p)
     degs = [_deg(c) for c in modular]
+    stream = _subsets(list(range(len(modular))), degs, _deg(f) // 2, 1)
+    candidates = stream
+    while True:
+        if tree.modulus > stop:
+            lifted = tree.factors()
+            subset = next(_passing(candidates, lifted, f, tree.modulus), None)
+            if subset is None:
+                return [list(f)]
+            candidates = chain((subset,), stream)
+        if tree.modulus >= bound:
+            break
+        tree.lift()
+
+    # bound > stop, so lifted is the full lift.  Recombination continues the
+    # stream; a factor found restarts it on what remains at the same size
+    modulus = tree.modulus
     out: list[list[int]] = []
     remaining = list(range(len(lifted)))
     current = list(f)
-    s = 1
-    while s <= len(remaining) and 2 * sum(degs[i] for i in remaining[:s]) <= _deg(current):
-        for subset in combinations(remaining, s):
-            if 2 * sum(map(degs.__getitem__, subset)) > _deg(current):
-                continue
-            lc = current[-1]
-            tc = _symmetric(lc * prod(lifted[i][0] for i in subset), modulus)
-            if tc == 0 or (lc * current[0]) % tc != 0:
-                continue
-            cand = [lc]
+    while True:
+        for subset in _passing(candidates, lifted, current, modulus):
+            cand = [current[-1]]
             for i in subset:
                 cand = _mod_mul(cand, lifted[i], modulus)
             cand = [_symmetric(c, modulus) for c in cand]
@@ -562,9 +650,10 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
                 out.append(cand)
                 current = q
                 remaining = [i for i in remaining if i not in subset]
+                candidates = _subsets(remaining, degs, _deg(current) // 2, len(subset))
                 break
         else:
-            s += 1
+            break
     if _deg(current) >= 1:
         out.append(current)
     return out

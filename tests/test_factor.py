@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -7,13 +7,14 @@ from conftest import coprime_pairs
 from trinotool import factor
 from trinotool.errors import CoprimalityViolated, GcdNotOne, InternalVerificationFailure
 from trinotool.factor import (
+    _FactorTree,
     _choose_prime,
     _gf_edf,
     _gf_factors,
+    _gf_frobenius,
     _gf_gcd,
     _gf_is_squarefree,
     _gf_pow_mod,
-    _lift,
     _mignotte_bound,
     _mod,
     _mod_divmod,
@@ -412,7 +413,7 @@ def test_factor_mod_prime_matches_sympy_degrees(rng):
 def test_lift_rejects_non_divisor():
     # x + 1 does not divide x^2 + 1 mod 7 (remainder 2)
     with pytest.raises(InternalVerificationFailure):
-        _lift([1, 0, 1], [[1, 1], [1, 1]], 7, 7**4)
+        _FactorTree([1, 0, 1], [[1, 1], [1, 1]], 7)
 
 
 def test_factor_mod_prime_validates():
@@ -572,6 +573,110 @@ def test_blocked_split_matches_per_degree_on_grid():
             assert _gf_factors(list(f), p) == _per_degree_gf_factors(f, p), (cell, p)
             checked += 1
     assert checked > 5000
+
+
+def test_frobenius_by_substitution_matches_pow_mod_on_grid():
+    # the chain x, x^p, x^(p^2), ... that the distinct-degree split walks,
+    # on every residue class of the n <= 24 grid, against binary powering
+    residues = {(p, tuple(_mod(list(tri(*cell).coeffs), p)))
+                for cell in _grid() for p in (5, 7, 11, 13)}
+    for p, f in residues:
+        f = list(f)
+        h = [0, 1]
+        for _ in range(3):
+            expected = _gf_pow_mod(h, p, f, p)
+            assert _gf_frobenius(h, f, p) == expected, (f, p, h)
+            h = expected
+    assert len(residues) > 5000
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_frobenius_by_substitution_matches_pow_mod_on_dense_moduli(rng, p):
+    for _ in range(200):
+        d = rng.randint(1, 40)
+        f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        h = factor._trim([rng.randrange(p) for _ in range(rng.randint(0, d))])
+        assert _gf_frobenius(h, f, p) == _gf_pow_mod(h, p, f, p), (f, h)
+
+
+def _lift_levels(monkeypatch):
+    """Counts the levels of every _FactorTree lift while in effect."""
+    levels = []
+    lift = _FactorTree.lift
+
+    def counting(tree):
+        levels.append(tree.modulus)
+        lift(tree)
+
+    monkeypatch.setattr(_FactorTree, "lift", counting)
+    return levels
+
+
+def _full_levels(f, p):
+    bound, modulus, k = 2 * _mignotte_bound(f) + 1, p, 0
+    while modulus < bound:
+        modulus, k = modulus * modulus, k + 1
+    return k
+
+
+def test_lift_continues_while_a_subset_passes(monkeypatch):
+    # f = g h with g = x^2 + 1, two linears mod 5, and h = x^3 - 6x - 2,
+    # irreducible mod 5; 5 already exceeds 2 |lc(f) f(0)| = 4.  One linear
+    # factor alone passes the trailing-coefficient test mod 5 and is no
+    # factor, and g passes at every level, so the lift must run to the full
+    # bound and recombination must find g
+    g, h = [1, 0, 1], [-2, -6, 0, 1]
+    f = dense_mul(g, h)
+    assert _choose_prime(f) == 5
+    modular = _gf_factors(f, 5)
+    assert [len(c) - 1 for c in modular] == [1, 1, 3]
+    stream = factor._subsets([0, 1, 2], [1, 1, 3], 2, 1)
+    assert next(factor._passing(stream, modular, f, 5)) == (0,)
+    levels = _lift_levels(monkeypatch)
+    assert sorted(factor._zassenhaus_squarefree(f)) == sorted([g, h])
+    assert len(levels) == _full_levels(f, 5) >= 2
+
+
+def test_irreducible_input_stops_before_the_full_lift(monkeypatch):
+    # x^71 - 5x^40 - 1 (the benchmark's 15 factors mod 5) is irreducible; no
+    # subset passes at some level below the bound, and none is tested twice
+    # beyond the one subset carried from each level to the next
+    f = list(_sparse({71: 1, 40: -5, 0: -1}).coeffs)
+    p = _choose_prime(f)
+    modular = _gf_factors(f, p)
+    degs = [len(c) - 1 for c in modular]
+    stream_length = sum(1 for _ in factor._subsets(list(range(len(modular))), degs, 35, 1))
+    levels = _lift_levels(monkeypatch)
+    products = []
+
+    def counting_prod(xs):
+        products.append(None)
+        return prod(xs)
+
+    monkeypatch.setattr(factor, "prod", counting_prod)
+    assert factor._zassenhaus_squarefree(f) == [f]
+    assert len(modular) == 15 and stream_length > 1000
+    assert 1 <= len(levels) < _full_levels(f, p)
+    assert len(products) <= stream_length + len(levels) + 1
+
+
+@pytest.mark.parametrize("g, h", [
+    ([-7, 1], [1, 1, 1]),  # monic, f(0) = -7: the factor's constant is -7
+    ([7, 3], [1, 1, 1]),  # lc(f) = 3: lc(f) g(0) / lc(g) = 7
+])
+def test_early_stop_waits_for_the_modulus_to_pass_the_constant(g, h):
+    # mod 5 the true factor's constant reads as a residue of absolute value
+    # at most 2 that does not divide lc(f) f(0), so a test at a modulus below
+    # 2 |lc(f) f(0)| would drop the only candidate and call f irreducible
+    f = dense_mul(g, h)
+    p = _choose_prime(f)
+    assert p == 5 and 5 < 2 * abs(f[-1] * f[0])
+    modular = _gf_factors(f, p)
+    assert [len(c) - 1 for c in modular] == [1, 2]
+    assert list(factor._passing([(0,)], modular, f, p)) == []
+    assert sorted(factor._zassenhaus_squarefree(f)) == sorted([g, h])
+    result = factorize(IntPolynomial(tuple(f)))
+    assert [c.coeffs for c, _ in result.factors] == [tuple(g), tuple(h)]
 
 
 def _random_irreducible(rng, d, p):
