@@ -2,17 +2,17 @@
 
 Pipeline: content/primitive split -> squarefree decomposition (Yun) -> modular
 factorization at a good prime (blocked distinct-degree then Cantor-Zassenhaus
-equal-degree splitting) -> quadratic Hensel lifting over a balanced factor
-tree, one level (p^k to p^2k, one step per inner node) at a time, up to the
-half-degree coefficient bound, which covers every factor of at most half the
-degree -> factor recombination by subset search over subsets of at most half
-the degree, with trailing-coefficient pruning; a larger factor is what is left
-over.  The candidate subsets come from one stream, in order of size: once the
-modulus exceeds 2 |lc(f) f(0)|, each level of the lift drops the subsets
-that fail the trailing-coefficient test, which no true factor fails, and an
-empty stream proves the input irreducible without the rest of the lift
-(the early test of Abbott, Shoup and Zimmermann, ISSAC 2000).  Every
-factorization is verified by exact re-expansion before it is returned.
+equal-degree splitting) -> one loop of quadratic Hensel lifting over a
+balanced factor tree, one level (p^k to p^2k, one step per inner node) at a
+time, and recombination.  Candidate subsets of the modular factors, of at
+most half the degree, come from one stream in order of size; a larger factor
+is what is left over.  Once the modulus exceeds 2 |lc(f) f(0)|, each level
+drops the subsets that fail the trailing-coefficient test, which no true
+factor fails, trial-divides each passing subset whose own degree's
+coefficient bound the modulus covers, and keeps the first one it does not
+cover for the next level.  An empty stream ends the lift, often below the
+half-degree bound (the early tests of Abbott, Shoup and Zimmermann, ISSAC
+2000).  Every factorization is verified by exact re-expansion.
 
 Two cheap certificates run before the engine: the large-middle-coefficient
 threshold (|a| >= n^2/3 forces x^n + a x^m +/- 1 irreducible when gcd(m,n)=1)
@@ -533,19 +533,17 @@ def _symmetric(x: int, m: int) -> int:
     return x - m if x > m // 2 else x
 
 
-def _mignotte_bound(f: list[int]) -> int:
-    """Half-degree coefficient bound for the Zassenhaus lift.
+def _mignotte_bound(f: list[int], d: int) -> int:
+    """Coefficient bound for a factor of degree d.
 
-    For every factor g of f over Z with deg g <= deg f / 2, the coefficients of
+    For every factor g of f over Z with deg g = d, the coefficients of
     lc(f) g / lc(g) are at most this bound in absolute value: by Mignotte's
-    inequality |g_j| <= binom(d, j) |lc(g) / lc(f)| ||f||_2 for deg g = d, and
-    binom(d, j) <= binom(k, k // 2) with k = deg f // 2 (Beauzamy, Trevisan and
-    Wang, JSC 15, 1993); the factor |lc(f)| is a margin.  A reducible f always
-    has such a factor, so recombination looks only for factors of at most half
-    the degree and finds a larger one as its cofactor."""
-    k = _deg(f) // 2
+    inequality |g_j| <= binom(d, j) |lc(g) / lc(f)| ||f||_2, and binom(d, j)
+    <= binom(d, d // 2) (Beauzamy, Trevisan and Wang, JSC 15, 1993); the
+    factor |lc(f)| is a margin.  The bound grows with d, so a modulus that
+    covers a subset of modular factors covers every subset of it."""
     l2 = isqrt(sum(c * c for c in f)) + 1
-    return comb(k, k // 2) * l2 * abs(f[-1])
+    return comb(d, d // 2) * l2 * abs(f[-1])
 
 
 def _choose_prime(f: list[int]) -> int:
@@ -599,7 +597,14 @@ def _passing(subsets, lifted: list[list[int]], f: list[int], modulus: int):
 
 def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with positive leading
-    coefficient and nonzero constant term."""
+    coefficient and nonzero constant term.
+
+    One loop lifts and recombines (see the module docstring).  A factor
+    found restarts the stream on what remains, at the same size.  The stream
+    runs by size, and every proper sub-subset of a subset comes before it
+    with no larger bound, so a divisor found is irreducible and a covered
+    subset that does not divide is no factor; an empty stream leaves what
+    remains irreducible."""
     if _deg(f) == 1:
         return [list(f)]
     p = _choose_prime(f)
@@ -607,39 +612,24 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     if len(modular) == 1:
         return [list(f)]
 
-    # only factors of at most half the degree are within the bound: a subset
-    # of modular factors whose degrees sum to more is never a candidate, and a
-    # larger factor is found as what is left of current.  Candidates come
-    # from one stream, which every level of the lift advances past the
-    # subsets that fail the trailing-coefficient test, once the modulus
-    # exceeds 2 |lc(f) f(0)|: a true factor passes at every such level, and
-    # so does every subset that passes at a higher one, so a subset that
-    # fails once is never tested again.  An empty stream proves f irreducible
-    bound = 2 * _mignotte_bound(f) + 1
     stop = 2 * abs(f[-1] * f[0])
     tree = _FactorTree(f, modular, p)
     degs = [_deg(c) for c in modular]
-    stream = _subsets(list(range(len(modular))), degs, _deg(f) // 2, 1)
-    candidates = stream
-    while True:
-        if tree.modulus > stop:
-            lifted = tree.factors()
-            subset = next(_passing(candidates, lifted, f, tree.modulus), None)
-            if subset is None:
-                return [list(f)]
-            candidates = chain((subset,), stream)
-        if tree.modulus >= bound:
-            break
-        tree.lift()
-
-    # bound > stop, so lifted is the full lift.  Recombination continues the
-    # stream; a factor found restarts it on what remains at the same size
-    modulus = tree.modulus
+    remaining = list(range(len(modular)))
+    candidates = _subsets(remaining, degs, _deg(f) // 2, 1)
     out: list[list[int]] = []
-    remaining = list(range(len(lifted)))
     current = list(f)
     while True:
+        if tree.modulus <= stop:
+            tree.lift()
+            continue
+        modulus = tree.modulus
+        lifted = tree.factors()
         for subset in _passing(candidates, lifted, current, modulus):
+            if modulus <= 2 * _mignotte_bound(f, sum(degs[i] for i in subset)):
+                candidates = chain((subset,), candidates)
+                tree.lift()
+                break
             cand = [current[-1]]
             for i in subset:
                 cand = _mod_mul(cand, lifted[i], modulus)
@@ -653,10 +643,7 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
                 candidates = _subsets(remaining, degs, _deg(current) // 2, len(subset))
                 break
         else:
-            break
-    if _deg(current) >= 1:
-        out.append(current)
-    return out
+            return out + [current]
 
 
 def factorize(poly: IntPolynomial) -> FactorizationResult:

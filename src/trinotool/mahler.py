@@ -103,7 +103,9 @@ def _from_log(log_value: float, log_error: float, method: str, summed: int,
 
 
 def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial]) -> MeasureResult:
-    """M(P) = |leading| * prod max(1, |root|) from a certified root set."""
+    """M(P) = |leading| * prod max(1, |root|) from the roots that
+    polycore.all_roots solves, certified or not: the error bound comes from
+    their residual bound either way."""
     lead = abs(p.coeffs[-1]) if isinstance(p, IntPolynomial) else 1.0
     return measure_from_root_set(polycore.all_roots(p), lead)
 

@@ -6,7 +6,7 @@ The unit of work is an orbit of pending cells under two maps that send such a
 trinomial P to another one with the same factor degrees:
 
 - z -> -z: (n, m, a, b) -> (n, m, a (-1)^(n+m), b (-1)^n), the polynomial
-  (-1)^n P(-z) (``polycore._reflect``);
+  (-1)^n P(-z);
 - reversal: (n, m, a, b) -> (n, n - m, ab, b), the polynomial b z^n P(1/z).
 
 They commute, so an orbit has 1, 2 or 4 cells; only the cells that are
@@ -103,17 +103,15 @@ class ConvergenceRow:
 def _orbit_moves(item: tuple[int, int, int, int]
                  ) -> dict[tuple[int, int, int, int], tuple[bool, bool]]:
     """Every cell of item's orbit, item first, with the (negate, reverse) move
-    that maps item's polynomial to it: reverse sends (n, m, a, b) to
-    (n, n - m, ab, b), the reversal b z^n P(1/z); negate then applies
-    z -> -z, made monic again (``polycore._reflect``).  The two moves
-    commute, so the orbit has 1, 2 or 4 cells."""
-    n, m, a, b = item
+    that maps item's polynomial to it: the cell is read off the polynomial
+    that ``_map_factor`` makes of item's, the same rule that maps item's
+    factors.  The two moves commute, so the orbit has 1, 2 or 4 cells."""
+    first = to_dense(TrinomialSpec(*item))
     moves: dict[tuple[int, int, int, int], tuple[bool, bool]] = {}
     for reverse in (False, True):
-        mm, aa = (n - m, a * b) if reverse else (m, a)
         for negate in (False, True):
-            signs = polycore._reflect(n, mm, (aa, b)) if negate else (aa, b)
-            moves.setdefault((n, mm, *signs), (negate, reverse))
+            (_, b), (m, a), (n, _) = _map_factor(first, negate, reverse).nonzero_terms()
+            moves.setdefault((n, m, a, b), (negate, reverse))
     return moves
 
 

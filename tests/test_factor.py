@@ -442,8 +442,9 @@ def _sympy_factorization(sympy, x, poly):
 def test_factorize_against_sympy_oracle(rng):
     # independent engine check; skipped when sympy is not installed.  Random
     # polynomials are mostly irreducible, so products of 4-8 small factors
-    # with repeats, x^24 - 1 and x^30 - 1 add lifts of many modular factors,
-    # where a wrong lift would leave a coarser but still exact factorization
+    # with repeats and x^n - 1 add lifts of many modular factors, where a wrong
+    # lift or a factor decided too early would leave a coarser but still exact
+    # factorization.  Phi_105, a factor of x^105 - 1, has a coefficient -2
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     polys = []
@@ -459,7 +460,7 @@ def test_factorize_against_sympy_oracle(rng):
         for _ in range(rng.randint(4, 8)):
             product = product * rng.choice(pool)
         polys.append(product)
-    polys += [IntPolynomial((-1,) + (0,) * (n - 1) + (1,)) for n in (24, 30)]
+    polys += [IntPolynomial((-1,) + (0,) * (n - 1) + (1,)) for n in (24, 30, 42, 60, 105)]
     for p in polys:
         result = factorize(p)
         mine = (result.content, [(f.coeffs, mult) for f, mult in result.factors])
@@ -502,9 +503,9 @@ def test_recombination_finds_a_factor_of_most_modular_factors(monkeypatch):
     f = dense_mul(g, h)
     assert _choose_prime(f) == 13
     assert [len(c) - 1 for c in _gf_factors(f, 13)] == [1, 1, 1, 9]
-    # the tightest valid half-degree bound is g's largest coefficient, 2; it
-    # lifts to 13 only, and h's 42 lies outside the symmetric range mod 13
-    monkeypatch.setattr(factor, "_mignotte_bound", lambda c: max(map(abs, g)))
+    # the tightest valid bound for g's degree is g's largest coefficient, 2;
+    # it lifts to 13 only, and h's 42 lies outside the symmetric range mod 13
+    monkeypatch.setattr(factor, "_mignotte_bound", lambda c, d: max(map(abs, g)))
     poly = IntPolynomial(tuple(f))
     result = factorize(poly)
     mine = (result.content, [(c.coeffs, mult) for c, mult in result.factors])
@@ -613,18 +614,37 @@ def _lift_levels(monkeypatch):
 
 
 def _full_levels(f, p):
-    bound, modulus, k = 2 * _mignotte_bound(f) + 1, p, 0
+    bound, modulus, k = 2 * _mignotte_bound(f, (len(f) - 1) // 2) + 1, p, 0
     while modulus < bound:
         modulus, k = modulus * modulus, k + 1
     return k
+
+
+@pytest.mark.parametrize("terms, levels", zip(FACTOR_SET, (1, 1, 0, 3, 2, 1, 1, 2, 2, 3)),
+                         ids=[f"n{max(terms)}" for terms in FACTOR_SET])
+def test_factor_set_lift_levels(monkeypatch, terms, levels):
+    # an irreducible input stops once no subset passes; a reducible one once
+    # each of its factors is decided at the level that covers its own degree,
+    # below the full half-degree lift
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = _sparse(terms)
+    f = list(poly.coeffs)
+    counted = _lift_levels(monkeypatch)
+    result = factorize(poly)
+    mine = (result.content, [(c.coeffs, mult) for c, mult in result.factors])
+    assert mine == _sympy_factorization(sympy, x, poly)
+    assert len(counted) == levels
+    if len(result.factors) > 1:
+        assert levels < _full_levels(f, _choose_prime(f))
 
 
 def test_lift_continues_while_a_subset_passes(monkeypatch):
     # f = g h with g = x^2 + 1, two linears mod 5, and h = x^3 - 6x - 2,
     # irreducible mod 5; 5 already exceeds 2 |lc(f) f(0)| = 4.  One linear
     # factor alone passes the trailing-coefficient test mod 5 and is no
-    # factor, and g passes at every level, so the lift must run to the full
-    # bound and recombination must find g
+    # factor, and g passes at every level, so the lift must run to the level
+    # that covers g's degree, 2, here the full half-degree bound, and find g
     g, h = [1, 0, 1], [-2, -6, 0, 1]
     f = dense_mul(g, h)
     assert _choose_prime(f) == 5
@@ -708,7 +728,7 @@ def test_blocked_split_at_block_edges(rng, p, degrees):
 
 def _factors_within_bound(sympy, x, poly):
     coeffs = list(poly.coeffs)
-    bound = _mignotte_bound(coeffs)
+    bound = _mignotte_bound(coeffs, poly.degree // 2)
     _, s_factors = sympy.factor_list(sum(c * x**k for k, c in enumerate(coeffs)), x)
     checked = 0
     for g, _ in s_factors:
@@ -718,7 +738,9 @@ def _factors_within_bound(sympy, x, poly):
         # lc(f) g / lc(g) is integral: lc(g) divides lc(f)
         scaled = [c * coeffs[-1] // g[-1] for c in g]
         assert [c * g[-1] for c in scaled] == [c * coeffs[-1] for c in g]
-        assert max(map(abs, scaled)) <= bound, (poly.coeffs, g)
+        # the bound of g's own degree, which is at most the half-degree one
+        assert max(map(abs, scaled)) <= _mignotte_bound(coeffs, len(g) - 1) <= bound, (
+            poly.coeffs, g)
         checked += 1
     return checked
 

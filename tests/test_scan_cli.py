@@ -127,6 +127,17 @@ def test_scan_orbits_match_per_cell_factoring(tmp_path):
             mahler.measure_from_root_set(roots).value, roots.max_modulus()), rec
 
 
+def test_orbit_cells_are_the_mapped_first_cell():
+    # the cells of an orbit and the map of its factors follow one rule
+    items = scan._work_items(24, [-4, -3, -2, -1, 1, 2, 3, 4], (-1, 1), coprime_only=False)
+    for orbit in scan._orbits(items):
+        moves = scan._orbit_moves(orbit[0])
+        assert set(orbit) == set(moves) == _orbit_of(*orbit[0])
+        first = to_dense(TrinomialSpec(*orbit[0]))
+        for cell in orbit:
+            assert scan._map_factor(first, *moves[cell]) == to_dense(TrinomialSpec(*cell))
+
+
 def test_scan_factors_once_per_orbit(tmp_path, monkeypatch):
     calls = []
     factorize = factor.factorize
@@ -150,8 +161,11 @@ def test_scan_orbit_mapping_errors_are_records(monkeypatch):
     good = scan._scan_orbit(orbit)
     assert [r.error for r in good] == [None] * 4
     assert all(r.factor_degrees == (3, 5) for r in good)
-    # a wrong mapped factor fails the re-expansion check of its cell
-    monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse: g)
+    # a wrong mapped factor fails the re-expansion check of its cell; the
+    # cells themselves, read off the mapped degree-8 trinomial, keep the true map
+    map_factor = scan._map_factor
+    monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse:
+                        map_factor(g, negate, reverse) if g.degree == 8 else g)
     bad = scan._scan_orbit(orbit)
     assert bad[0] == good[0]
     assert all(r.certificate == "error" and r.measure is None
