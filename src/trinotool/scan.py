@@ -10,14 +10,17 @@ trinomial P to another one with the same factor degrees:
 - reversal: (n, m, a, b) -> (n, n - m, ab, b), the polynomial b z^n P(1/z).
 
 They commute, so an orbit has 1, 2 or 4 cells; only the cells that are
-pending in this scan belong to it, so it may have 3.  The first cell is
-factored with ``factor.is_irreducible``.  Every cell, the first too, gets that
+pending in this scan belong to it, so it may have 3.  The orbit's leader is
+the least cell (as a tuple) of the whole orbit, pending or not, so every
+record is a function of its own cell alone, whatever else is pending.  The
+leader is factored with ``factor.is_irreducible`` and its roots are solved
+with ``polycore.all_roots``, once per orbit.  Every cell gets that
 factorization mapped factor by factor (g(z) -> g(-z), g -> its coefficient
 reversal, each with a positive leading coefficient, sorted canonically) and
 checked by exact re-expansion against its own polynomial; a mismatch is that
-cell's ``InternalVerificationFailure`` record.  The certificate is the first
-cell's, and it is the one ``is_irreducible`` would give every cell, because it
-reads P = x^n + B x^m + C (A = 1, |C| = 1) only through orbit invariants:
+cell's ``InternalVerificationFailure`` record.  The certificate is the
+leader's, and it is the one ``is_irreducible`` would give every cell, because
+it reads P = x^n + B x^m + C (A = 1, |C| = 1) only through orbit invariants:
 
 - ``threshold`` reads |B| = |a|, n and gcd(m, n) = gcd(n - m, n);
 - the Schinzel conditions read |A| = |C| = 1, |B|, g = gcd(m, n) and
@@ -29,10 +32,23 @@ reads P = x^n + B x^m + C (A = 1, |C| = 1) only through orbit invariants:
 - the factorizer certificates follow from the factor degrees, which the maps
   keep.
 
-Roots are still solved for each cell.  Orbits go to a process pool; completed
-records are appended to the cache one line at a time and the emitted output is
-sorted canonically, so runs are deterministic regardless of the worker count,
-and an interrupted scan resumes from the cache.
+The leader's roots give every cell its measure and house, because the maps
+act on roots too:
+
+- z -> -z negates every root, exactly in floating point, so it keeps both the
+  measure and the house max|z|;
+- the reversal of a monic P with |b| = 1 is monic with roots 1/z_i, so its
+  measure is prod max(1, |z_i|) / prod |z_i| = M(P) / |b| = M(P), and its
+  house is 1 / min|z_i|; 0 is never a root, since b = +/-1.
+
+A cell's measure is therefore the leader's, and its house is max|z| or
+1/min|z| over the leader's roots, as its move has no reversal or one.  An
+error of the leader's factorization or solve is every cell's record.
+
+Orbits go to a process pool; completed records are appended to the cache one
+line at a time and the emitted output is sorted canonically, so runs are
+deterministic regardless of the worker count, and an interrupted scan resumes
+from the cache.
 """
 
 from __future__ import annotations
@@ -67,11 +83,12 @@ class ScanRecord:
     """One scanned trinomial; unique per (n, m, a, b).
 
     ``factor_degrees`` sums to n; two or more entries iff reducible.
-    ``elapsed`` (seconds) is the cell's own time: its root solve and its check
-    of the mapped factorization, plus, for the first cell of its orbit, the
-    shared ``is_irreducible`` call, so the elapsed times of a scan sum to its
-    compute time.  It is informational and excluded from equality so that
-    records survive cache round trips and thread-count changes unchanged.
+    ``elapsed`` (seconds) is the cell's own time: its check of the mapped
+    factorization, plus, for the first pending cell of its orbit, the
+    leader's ``is_irreducible`` call and root solve, which the orbit shares,
+    so the elapsed times of a scan sum to its compute time.  It is
+    informational and excluded from equality so that records survive cache
+    round trips and thread-count changes unchanged.
     """
 
     n: int
@@ -145,7 +162,7 @@ def _map_factor(g: IntPolynomial, negate: bool, reverse: bool) -> IntPolynomial:
 def _factor_degrees(verdict: factor.IrreducibilityVerdict, move: tuple[bool, bool],
                     dense: IntPolynomial) -> tuple[int, ...]:
     """Factor degrees of the cell whose polynomial is dense, from the verdict
-    of the orbit's first cell mapped by move and checked by re-expansion."""
+    of the orbit's leader mapped by move and checked by re-expansion."""
     found = verdict.factorization
     if found is None:
         return (dense.degree,)
@@ -160,23 +177,35 @@ def _factor_degrees(verdict: factor.IrreducibilityVerdict, move: tuple[bool, boo
     return tuple(sorted(g.degree for g, k in mapped.factors for _ in range(k)))
 
 
+# an orbit leader's verdict, the measure of every cell of its orbit, and the
+# house of a cell reached from the leader without and with the reversal
+_Solved = tuple[factor.IrreducibilityVerdict, float, tuple[float, float]]
+
+
+def _solve_leader(leader: tuple[int, int, int, int]) -> _Solved:
+    """Factor and solve an orbit's leader, once for the whole orbit."""
+    spec = TrinomialSpec(*leader)
+    verdict = factor.is_irreducible(to_dense(spec))
+    roots = polycore.all_roots(spec)
+    moduli = [abs(r) for r in roots.roots]
+    return verdict, mahler.measure_from_root_set(roots).value, (max(moduli), 1 / min(moduli))
+
+
 def _cell_record(item: tuple[int, int, int, int],
-                 verdict: factor.IrreducibilityVerdict | Exception,
+                 solved: _Solved | Exception,
                  move: tuple[bool, bool], start: float) -> ScanRecord:
     n, m, a, b = item
     try:
-        if isinstance(verdict, Exception):
-            raise verdict
-        spec = TrinomialSpec(n, m, a, b)
-        degrees = _factor_degrees(verdict, move, to_dense(spec))
-        roots = polycore.all_roots(spec)
+        if isinstance(solved, Exception):
+            raise solved
+        verdict, measure, houses = solved
         return ScanRecord(
             n=n, m=m, a=a, b=b,
             reducible=verdict.reducible,
-            factor_degrees=degrees,
+            factor_degrees=_factor_degrees(verdict, move, to_dense(TrinomialSpec(*item))),
             certificate=verdict.certificate,
-            measure=mahler.measure_from_root_set(roots).value,
-            house=roots.max_modulus(),
+            measure=measure,
+            house=houses[move[1]],
             elapsed=time.perf_counter() - start,
         )
     except Exception as exc:  # errored rows are reported, never dropped
@@ -191,16 +220,17 @@ def _cell_record(item: tuple[int, int, int, int],
 
 def _scan_orbit(orbit: Sequence[tuple[int, int, int, int]]) -> list[ScanRecord]:
     """The records of one orbit of cells (see the module docstring): one
-    ``factor.is_irreducible`` call on the first cell, a root solve per cell."""
+    ``factor.is_irreducible`` call and one root solve, both on the leader."""
     start = time.perf_counter()
+    leader = min(_orbit_moves(orbit[0]))
     try:
-        verdict = factor.is_irreducible(to_dense(TrinomialSpec(*orbit[0])))
+        solved = _solve_leader(leader)
     except Exception as exc:  # every cell of the orbit reports it
-        verdict = exc
-    moves = _orbit_moves(orbit[0])
+        solved = exc
+    moves = _orbit_moves(leader)
     records = []
     for item in orbit:
-        records.append(_cell_record(item, verdict, moves[item], start))
+        records.append(_cell_record(item, solved, moves[item], start))
         start = time.perf_counter()
     return records
 

@@ -7,6 +7,7 @@ import pytest
 
 from trinotool import factor, mahler, polycore, scan
 from trinotool.cli import cli_dispatch
+from trinotool.errors import ConvergenceFailure
 from trinotool.polycore import TrinomialSpec, to_dense
 from trinotool.scan import (
     ConvergenceRow,
@@ -103,10 +104,27 @@ def _orbit_of(n, m, a, b):
                       (n, n - m, a * b, b), (n, n - m, a * b * (-1) ** m, b * (-1) ** n)})
 
 
+def _leader_values(key):
+    # the orbit's least cell is solved once; a cell reached from it without
+    # the reversal has its house max|z|, one reached with it 1/min|z|
+    leader = min(_orbit_of(*key))
+    n, m, a, b = leader
+    roots = polycore.all_roots(TrinomialSpec(*leader))
+    moduli = [abs(r) for r in roots.roots]
+    unreversed = {leader, (n, m, a * (-1) ** (n + m), b * (-1) ** n)}
+    house = max(moduli) if key in unreversed else 1 / min(moduli)
+    return mahler.measure_from_root_set(roots).value, house
+
+
 def test_scan_orbits_match_per_cell_factoring(tmp_path):
     # a in {-2, 1, 2, 3} with both signs and non-coprime cells gives orbits of
-    # 1, 2, 3 and 4 pending cells; every record, irreducible ones too, must be
-    # what factoring and solving that cell on its own gives
+    # 1, 2, 3 and 4 pending cells; every record, irreducible ones too, must
+    # have the factorization of that cell on its own, the measure and house of
+    # the orbit leader's roots under the cell's move, and so, to rounding, the
+    # measure and house of that cell's own roots.  At a repeated factor, as in
+    # x^6 + 2x^3 + 1 = (x^3 + 1)^2, a float solve is good only to about
+    # sqrt(eps), so there the two solves need agree only within the error
+    # bounds of the cell's own solve
     args = (16, [-2, 1, 2, 3], (-1, 1))
     items = scan._work_items(*args, coprime_only=False)
     assert {len(o) for o in scan._orbits(items)} == {1, 2, 3, 4}
@@ -120,11 +138,17 @@ def test_scan_orbits_match_per_cell_factoring(tmp_path):
         found = verdict.factorization
         degrees = (tuple(sorted(g.degree for g, k in found.factors for _ in range(k)))
                    if found else (rec.n,))
+        assert (rec.reducible, rec.factor_degrees, rec.certificate, rec.error) == (
+            verdict.reducible, degrees, verdict.certificate, None), rec
+        assert (rec.measure, rec.house) == _leader_values(rec.key), rec
         roots = polycore.all_roots(spec)
-        assert rec.error is None, rec
-        assert (rec.reducible, rec.factor_degrees, rec.certificate, rec.measure, rec.house) == (
-            verdict.reducible, degrees, verdict.certificate,
-            mahler.measure_from_root_set(roots).value, roots.max_modulus()), rec
+        own = mahler.measure_from_root_set(roots)
+        if found is None or all(k == 1 for _, k in found.factors):
+            assert rec.measure == pytest.approx(own.value, rel=1e-13, abs=0), rec
+            assert rec.house == pytest.approx(roots.max_modulus(), rel=1e-13, abs=0), rec
+        else:
+            assert abs(rec.measure - own.value) <= own.error_bound, rec
+            assert abs(rec.house - roots.max_modulus()) <= roots.residual_bound, rec
 
 
 def test_orbit_cells_are_the_mapped_first_cell():
@@ -154,6 +178,66 @@ def test_scan_factors_once_per_orbit(tmp_path, monkeypatch):
     orbits = {_orbit_of(*key) for key in factored}
     assert len(factored) == 4 * len(orbits)
     assert len(calls) == len(orbits)
+
+
+def test_scan_solves_roots_once_per_orbit(tmp_path, monkeypatch):
+    solved = []
+    all_roots = polycore.all_roots
+
+    def spy(p):
+        solved.append((p.n, p.m, p.a, p.b))
+        return all_roots(p)
+
+    monkeypatch.setattr(polycore, "all_roots", spy)
+    cache = str(tmp_path / "cache.jsonl")
+    scan_conjecture(9, [-3, 3], cache_path=cache)
+    orbits = {_orbit_of(*r.key) for r in _cache_records(cache)}
+    assert sorted(solved) == sorted(min(o) for o in orbits)
+
+
+@pytest.mark.parametrize("a_values", [[3], [-4, -3, 1, 2]])
+def test_scan_records_equal_one_cell_records(a_values):
+    # with a of one sign, the leader of an orbit may lie outside the scanned
+    # cells; every record is still compute_scan_record's, measure and house
+    # bit for bit (record equality compares every field but elapsed)
+    items = scan._work_items(10, a_values, (-1, 1), coprime_only=True)
+    if a_values == [3]:
+        assert any(min(_orbit_of(*item)) not in items for item in items)
+    records = {}
+    for orbit in scan._orbits(items):
+        records.update((r.key, r) for r in scan._scan_orbit(orbit))
+    for item in items:
+        assert compute_scan_record(item) == records[item]
+
+
+def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
+    # a root solve that fails on one leader errors its orbit's four cells;
+    # the scan goes on and every other cell is computed as before
+    failing = (8, 3, -3, -1)
+    assert min(_orbit_of(*failing)) == failing
+    all_roots = polycore.all_roots
+
+    def flaky(p):
+        if (p.n, p.m, p.a, p.b) == failing:
+            raise ConvergenceFailure("no convergence")
+        return all_roots(p)
+
+    clean = scan_conjecture(9, [-3, 3])
+    monkeypatch.setattr(polycore, "all_roots", flaky)
+    cache = str(tmp_path / "cache.jsonl")
+    hits = scan_conjecture(9, [-3, 3], cache_path=cache)
+    records = {r.key: r for r in _cache_records(cache)}
+    assert len(records) == len(scan._work_items(9, [-3, 3], (-1, 1), True))
+    for key, rec in records.items():
+        if key in _orbit_of(*failing):
+            assert (rec.reducible, rec.factor_degrees, rec.certificate) == (False, (), "error")
+            assert (rec.measure, rec.house) == (None, None)
+            assert rec.error == "ConvergenceFailure: no convergence"
+        else:
+            assert rec.error is None and rec.measure is not None
+    assert [r for r in hits if r.error is None] == [
+        r for r in clean if r.key not in _orbit_of(*failing)]
+    assert sorted(r.key for r in hits if r.error) == sorted(_orbit_of(*failing))
 
 
 def test_scan_orbit_mapping_errors_are_records(monkeypatch):
