@@ -275,8 +275,6 @@ def _cmd_scan(args, out: _Output) -> int:
         threads=args.threads,
         cache_path=args.cache,
     )
-    out.config.update(n_max=args.n_max, a_values=sorted(args.a),
-                      signs=sorted(args.signs), coprime_only=not args.all_m)
     # the scan certifies completeness only up to n_max; record the bound
     sys.stderr.write(
         f"scan: n_max={args.n_max} a={sorted(args.a)} signs={sorted(args.signs)} "
@@ -398,8 +396,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
 
     out = _Output(args)
     out.config.update(command=args.command)
-    for key in ("n", "m", "a", "b", "n_max", "method", "family", "m_rule",
-                "threads", "tolerance"):
+    for key in ("n", "m", "a", "b", "method", "family", "m_rule", "tolerance"):
         if hasattr(args, key) and getattr(args, key) is not None:
             out.config[key] = getattr(args, key)
 

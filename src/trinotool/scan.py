@@ -177,60 +177,42 @@ def _factor_degrees(verdict: factor.IrreducibilityVerdict, move: tuple[bool, boo
     return tuple(sorted(g.degree for g, k in mapped.factors for _ in range(k)))
 
 
-# an orbit leader's verdict, the measure of every cell of its orbit, and the
-# house of a cell reached from the leader without and with the reversal
-_Solved = tuple[factor.IrreducibilityVerdict, float, tuple[float, float]]
-
-
-def _solve_leader(leader: tuple[int, int, int, int]) -> _Solved:
-    """Factor and solve an orbit's leader, once for the whole orbit."""
-    spec = TrinomialSpec(*leader)
-    verdict = factor.is_irreducible(to_dense(spec))
-    roots = polycore.all_roots(spec)
-    moduli = [abs(r) for r in roots.roots]
-    return verdict, mahler.measure_from_root_set(roots).value, (max(moduli), 1 / min(moduli))
-
-
-def _cell_record(item: tuple[int, int, int, int],
-                 solved: _Solved | Exception,
-                 move: tuple[bool, bool], start: float) -> ScanRecord:
-    n, m, a, b = item
-    try:
-        if isinstance(solved, Exception):
-            raise solved
-        verdict, measure, houses = solved
-        return ScanRecord(
-            n=n, m=m, a=a, b=b,
-            reducible=verdict.reducible,
-            factor_degrees=_factor_degrees(verdict, move, to_dense(TrinomialSpec(*item))),
-            certificate=verdict.certificate,
-            measure=measure,
-            house=houses[move[1]],
-            elapsed=time.perf_counter() - start,
-        )
-    except Exception as exc:  # errored rows are reported, never dropped
-        return ScanRecord(
-            n=n, m=m, a=a, b=b,
-            reducible=False, factor_degrees=(), certificate="error",
-            measure=None, house=None,
-            elapsed=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def _scan_orbit(orbit: Sequence[tuple[int, int, int, int]]) -> list[ScanRecord]:
-    """The records of one orbit of cells (see the module docstring): one
-    ``factor.is_irreducible`` call and one root solve, both on the leader."""
+    """The records of one orbit of cells (see the module docstring).  The
+    leader is factored with one ``factor.is_irreducible`` call and solved
+    with one root solve; each cell's record then holds the leader's verdict
+    and measure, its own mapped factor degrees and its house, or, if the
+    leader's work or the cell's own check failed, the error."""
     start = time.perf_counter()
     leader = min(_orbit_moves(orbit[0]))
     try:
-        solved = _solve_leader(leader)
+        spec = TrinomialSpec(*leader)
+        verdict = factor.is_irreducible(to_dense(spec))
+        roots = polycore.all_roots(spec)
+        measure = mahler.measure_from_root_set(roots).value
+        moduli = [abs(r) for r in roots.roots]
+        houses = (max(moduli), 1 / min(moduli))  # without and with the reversal
+        failure = None
     except Exception as exc:  # every cell of the orbit reports it
-        solved = exc
+        failure = exc
     moves = _orbit_moves(leader)
     records = []
     for item in orbit:
-        records.append(_cell_record(item, solved, moves[item], start))
+        try:
+            if failure is not None:
+                raise failure
+            fields = dict(
+                reducible=verdict.reducible,
+                factor_degrees=_factor_degrees(verdict, moves[item],
+                                               to_dense(TrinomialSpec(*item))),
+                certificate=verdict.certificate,
+                measure=measure,
+                house=houses[moves[item][1]],
+            )
+        except Exception as exc:  # errored rows are reported, never dropped
+            fields = dict(reducible=False, factor_degrees=(), certificate="error",
+                          measure=None, house=None, error=f"{type(exc).__name__}: {exc}")
+        records.append(ScanRecord(*item, **fields, elapsed=time.perf_counter() - start))
         start = time.perf_counter()
     return records
 

@@ -293,6 +293,44 @@ def test_initial_points_follow_the_newton_polygon():
         assert len(set(abs(z) for z in polycore._initial_points(p, coeffs, 9))) > 2
 
 
+def _proto_root_residuals(n, m, a, b):
+    """Largest relative residuals of the first m seeds in a z^m + b and of
+    the other n - m seeds in z^(n-m) + a."""
+    seeds = [complex(z) for z in polycore._initial_points(TrinomialSpec(n, m, a, b), [], n)]
+    return (max(abs(a * w ** m + b) for w in seeds[:m]) / abs(b),
+            max(abs(w ** (n - m) + a) for w in seeds[m:]) / abs(a))
+
+
+@pytest.mark.parametrize("n, m, a, b", [
+    (24, 5, -4, 1),
+    (120, 41, -9, 1),
+    (240, 7, 1e15, 1),
+    (30, 7, 5, 1e-8),
+    (31, 30, 2 + 3j, -0.5j),
+    (240, 77, 7.5, 0.3 + 0.2j),
+    (7, 3, 1e300, 1),
+])
+def test_dominant_a_seeds_are_the_proto_roots(n, m, a, b):
+    # |a| > |b| + 1: both rings sit at the angles of the proto-roots
+    assert max(_proto_root_residuals(n, m, a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [1e-300, 0.3, 1.0, 1e300])
+def test_dominant_a_is_above_the_chord_at_its_edge(b):
+    # the least float |a| > |b| + 1, or 2|b| where |b| + 1 rounds to |b|,
+    # still takes the two rings above the chord, at the proto-roots
+    a = 2 * b if b + 1 == b else math.nextafter(b + 1, math.inf)
+    for n, m in ((3, 1), (3, 2), (240, 7), (240, 233)):
+        assert max(_proto_root_residuals(n, m, a, b)) <= 1e-12, (n, m)
+
+
+def test_dominant_a_seeds_converge_fast():
+    # 3 + 3 + 4 + 3 iterations; with the rings turned by the fixed offset
+    # instead of set at the proto-roots, 9 + 17 + 9 + 5
+    specs = [(24, 5, -4, 1), (120, 41, -9, 1), (30, 7, 5.5, -2.25), (240, 77, 7.5, 0.3 + 0.2j)]
+    assert sum(all_roots(TrinomialSpec(*s)).iterations for s in specs) <= 15
+
+
 def test_all_roots_deterministic():
     p = IntPolynomial.of([1, 0, 3, 0, 0, 1])
     assert all_roots(p) == all_roots(p)
