@@ -5,12 +5,14 @@ stderr.  Every subcommand takes --format and --out; --tolerance exists only on
 measure, limit and series, the commands whose quadrature or series reads it.
 Single-shot commands emit an envelope {tool_version, config, records} in JSON
 mode; scans emit one JSON object per line so they stream and diff cleanly.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error.  No command prints
+NaN: a NaN field is refused as ConvergenceFailure, exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -19,7 +21,7 @@ import re
 import sys
 
 from . import __version__, bounds, factor, mahler, scan
-from .errors import TrinotoolError
+from .errors import ConvergenceFailure, TrinotoolError
 from .polycore import (
     FamilyForm,
     TrinomialSpec,
@@ -78,6 +80,14 @@ def _clean(record: dict) -> dict:
     return {k: _jsonable(v) for k, v in record.items() if v is not None}
 
 
+def _refuse_nan(record: dict) -> None:
+    """Raise ConvergenceFailure on a NaN field: NaN is a number that was not
+    computed, so no command prints one (an infinite error bound still prints)."""
+    for key, value in record.items():
+        if isinstance(value, (float, complex)) and cmath.isnan(value):
+            raise ConvergenceFailure(f"{key} came out NaN")
+
+
 class _Output:
     def __init__(self, args):
         self.fmt = args.format
@@ -85,6 +95,8 @@ class _Output:
         self.config = {}
 
     def emit(self, records: list[dict], jsonl: bool = False) -> None:
+        for r in (self.config, *records):
+            _refuse_nan(r)
         records = [_clean(r) for r in records]
         if self.fmt == "json":
             if jsonl:
@@ -148,7 +160,9 @@ def _cmd_measure(args, out: _Output) -> int:
     records = []
     for method in routes if args.method == "all" else [args.method]:
         try:
-            records.append(_measure_record(routes[method]()))
+            record = _measure_record(routes[method]())
+            _refuse_nan(record)
+            records.append(record)
         except TrinotoolError as exc:
             if args.method != "all":
                 raise

@@ -21,11 +21,9 @@ from enum import Enum
 from math import gcd, lgamma
 from typing import Union
 
-import numpy as np
-
 from . import polycore
 from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
-from .polycore import IntPolynomial, RootSet, TrinomialSpec, require_float
+from .polycore import IntPolynomial, RootSet, TrinomialSpec, np, require_float
 from .quadrature import DEFAULT_TOL, QuadResult, integrate
 
 _EPS = math.ulp(1.0)

@@ -43,12 +43,12 @@ up to 2e-14 relative on 143 of them.
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     ClassificationMismatch,
@@ -57,6 +57,29 @@ from .errors import (
     NotRepresentable,
     ParityViolated,
 )
+
+
+def _lazy_import(name: str):
+    """The module ``name``, loaded at its first attribute access rather than
+    now (the ``importlib.util.LazyLoader`` recipe), or the module itself when
+    it is already loaded.  Once loaded it is a plain module, so later access
+    costs nothing extra."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Importing numpy takes longer than the integer commands (factor, irreducible,
+# series, compare-bounds, a cached scan) take to run, and they never use it;
+# mahler and quadrature take their np from here.
+np = _lazy_import("numpy")
 
 __all__ = [
     "TrinomialSpec",

@@ -22,16 +22,16 @@ rule converges on a panel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 from .errors import QuadratureBudgetExceeded
+from .polycore import np
 
 __all__ = ["QuadResult", "integrate"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule sits on the odd-indexed abscissae.
-_XGK = np.array([
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -40,8 +40,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -50,18 +50,36 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
-_NODES = np.concatenate([-_XGK[:-1], [0.0], _XGK[-2::-1]])  # ascending, 15 points
-_WK = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
-_WGFULL = np.zeros(15)
-_WGFULL[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
+
+_TABLES = ("_NODES", "_WK", "_WGFULL")  # _rule's tables, readable by these names
+
+
+@cache
+def _rule():
+    """The 15 ascending nodes, their Kronrod weights and the Gauss weights
+    (zero off the Gauss nodes), as numpy arrays.  Built on first use, so that
+    importing this module does not load numpy."""
+    xgk, wgk, wg = np.array(_XGK), np.array(_WGK), np.array(_WG)
+    nodes = np.concatenate([-xgk[:-1], [0.0], xgk[-2::-1]])
+    wk = np.concatenate([wgk[:-1], [wgk[-1]], wgk[-2::-1]])
+    wgfull = np.zeros(15)
+    wgfull[1:-1:2] = np.concatenate([wg[:-1], [wg[-1]], wg[-2::-1]])
+    return nodes, wk, wgfull
+
+
+def __getattr__(name):
+    if name in _TABLES:
+        return _rule()[_TABLES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_TOL = 1e-10  # absolute error target of integrate and its mahler callers
 _MAX_EVALS = 1_000_000
@@ -77,13 +95,14 @@ class QuadResult:
 
 def _panels(f, a, b):
     """K15 values and error estimates of the panels [a_i, b_i], one call of f."""
+    nodes, wk, wgfull = _rule()
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
     y = np.broadcast_to(f(x.ravel()), (x.size,)).reshape(x.shape)
-    resk = half * np.sum(_WK * y, axis=1)
-    resg = half * np.sum(_WGFULL * y, axis=1)
+    resk = half * np.sum(wk * y, axis=1)
+    resg = half * np.sum(wgfull * y, axis=1)
     # QUADPACK-style inflation of the raw |K - G| estimate on rough panels
-    resasc = np.abs(half) * np.sum(_WK * np.abs(y - (resk / (b - a))[:, None]), axis=1)
+    resasc = np.abs(half) * np.sum(wk * np.abs(y - (resk / (b - a))[:, None]), axis=1)
     raw = np.abs(resk - resg)
     rough = resasc != 0.0
     ratio = 200.0 * raw / np.where(rough, resasc, 1.0)

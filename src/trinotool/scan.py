@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
@@ -318,6 +317,11 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
                     if cache_path else None)
         orbits = _orbits(pending)
         if threads > 1 and len(orbits) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # numpy loads on first use (polycore.np): load it here, once, so
+            # the forked workers inherit it rather than each loading its own
+            polycore.np.ndarray  # noqa: B018
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
             results = pool.map(_scan_orbit, orbits, chunksize=2)
         else:

@@ -1,12 +1,16 @@
+import argparse
 import inspect
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from trinotool import factor, mahler, polycore, scan
-from trinotool.cli import cli_dispatch
+from trinotool.cli import _Output, cli_dispatch
 from trinotool.errors import ConvergenceFailure
 from trinotool.polycore import TrinomialSpec, to_dense
 from trinotool.scan import (
@@ -561,3 +565,95 @@ def test_cli_text_format_default(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "house = 1.3247179572447" in captured.out
+
+
+# -------------------------------------------------------- start-up
+
+# Runs the CLI in a fresh interpreter, then reports what it loaded.  numpy
+# counts as loaded once any numpy.* submodule is (whatever loader put the
+# numpy package itself in sys.modules).
+_LOADED_AFTER = """
+import json, sys
+from trinotool.cli import cli_dispatch
+rc = cli_dispatch(sys.argv[1:])
+print(json.dumps({"rc": rc,
+                  "numpy": any(m.startswith("numpy.") for m in sys.modules),
+                  "pool": "concurrent.futures.process" in sys.modules}))
+"""
+
+
+def loaded_after(tmp_path, *argv):
+    src = str(Path(polycore.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv, "--out", str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "33", "11", "67", "1"),
+    ("irreducible", "14", "5", "4", "-1"),
+    ("series", "5", "2", "3", "1", "--trace"),
+    ("compare-bounds", "10"),
+], ids=lambda argv: argv[0])
+def test_integer_commands_never_load_numpy(argv, tmp_path):
+    assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
+
+
+def test_complete_cache_scan_loads_neither_numpy_nor_the_pool(tmp_path):
+    argv = ("scan", "--n-max", "10", "--a", "-3,3", "--threads", "2",
+            "--cache", str(tmp_path / "cache.jsonl"))
+    assert run_cli(tmp_path, *argv)[0] == 0
+    assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
+
+
+def test_roots_loads_numpy(tmp_path):
+    # the positive control: the check above can see numpy
+    assert loaded_after(tmp_path, "roots", "4", "1", "-3", "1")["numpy"] is True
+
+
+def test_pooled_scan_loads_numpy_in_the_parent(tmp_path):
+    # the parent computes nothing itself: numpy is loaded there before the
+    # workers fork, so that they inherit it
+    assert loaded_after(tmp_path, "scan", "--n-max", "10", "--a", "-3,3",
+                        "--threads", "2") == {"rc": 0, "numpy": True, "pool": True}
+
+
+# -------------------------------------------------------- NaN refusal
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "60", "59", "-1000000", "-1"),
+    ("measure", "7", "3", "1e300", "1"),
+    ("house", "7", "3", "1e300", "1"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the solver overflows
+def test_cli_refuses_nan_output(argv, fmt, tmp_path, capsys):
+    rc, text = run_cli(tmp_path, *argv, "--format", fmt)
+    assert rc == 1 and text == ""
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    if fmt == "json":
+        assert json.loads(err)["error"]["type"] == "ConvergenceFailure"
+    assert "NaN" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_measure_all_nan_route_is_an_error_row(tmp_path):
+    rc, text = run_cli(tmp_path, "measure", "7", "3", "1e300", "1",
+                       "--method", "all", "--format", "json")
+    assert rc == 0
+    roots, jensen, series = json.loads(text)["records"]
+    assert roots == {"method": "roots", "error": "ConvergenceFailure: error_bound came out NaN"}
+    assert jensen["value"] == pytest.approx(1e300, rel=1e-9)
+    assert series["value"] == pytest.approx(1e300, rel=1e-9)
+
+
+def test_cli_prints_infinite_error_bounds(tmp_path):
+    out = _Output(argparse.Namespace(format="json", out=str(tmp_path / "out.txt")))
+    out.emit([{"value": 2.0, "error_bound": math.inf}])
+    assert json.loads((tmp_path / "out.txt").read_text())["records"] == [
+        {"value": 2.0, "error_bound": math.inf}]
+    with pytest.raises(ConvergenceFailure):
+        out.emit([{"root": complex(1.0, math.nan)}])
