@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Output goes to stdout (or --out FILE) as JSON, CSV or text; diagnostics go to
-stderr.  Every subcommand takes --format and --out; --tolerance exists only on
-measure, limit and series, the commands whose quadrature or series reads it.
-Single-shot commands emit an envelope {tool_version, config, records} in JSON
-mode; scans emit one JSON object per line so they stream and diff cleanly.
+stderr, which in json mode holds only the JSON error object (and scan's
+summary line).  Every subcommand takes --format and --out; --tolerance exists
+only on measure, limit and series, the commands whose quadrature or series
+reads it.  Each command returns its records and cli_dispatch renders them:
+single-shot commands as an envelope {tool_version, config, records} in JSON
+mode, scans as one JSON object per line so they stream and diff cleanly.
 Exit codes: 0 success, 1 domain error, 2 usage error.  No command prints
 NaN: a NaN field is refused as ConvergenceFailure, exit 1.
 """
@@ -14,11 +16,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import io
 import json
 import math
 import re
 import sys
+import warnings
 
 from . import __version__, bounds, factor, mahler, scan
 from .errors import ConvergenceFailure, TrinotoolError
@@ -110,16 +114,12 @@ class _Output:
                 }
                 text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
         elif self.fmt == "csv":
+            # columns in order of first appearance; a field a record lacks is empty
             buf = io.StringIO()
-            keys: list[str] = []
-            for r in records:
-                for k in r:
-                    if k not in keys:
-                        keys.append(k)
-            writer = csv.DictWriter(buf, fieldnames=keys, extrasaction="ignore")
+            writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(
+                k for r in records for k in r)))
             writer.writeheader()
-            for r in records:
-                writer.writerow({k: r.get(k, "") for k in keys})
+            writer.writerows(records)
             text = buf.getvalue()
         else:
             lines = []
@@ -140,6 +140,21 @@ def _tol(args) -> dict:
     return {} if args.tolerance is None else {"tol": args.tolerance}
 
 
+def _spec(args) -> TrinomialSpec:
+    return TrinomialSpec(args.n, args.m, args.a, args.b)
+
+
+def _fields(result) -> dict:
+    """A result dataclass as one record in field order, a nested dataclass
+    (the FamilyForm) flattened in its place to family, n, m, a."""
+    record = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        record.update(_fields(value) if dataclasses.is_dataclass(value)
+                      else {field.name: value})
+    return record
+
+
 def _measure_record(result: mahler.MeasureResult) -> dict:
     return {
         "method": result.method,
@@ -149,8 +164,12 @@ def _measure_record(result: mahler.MeasureResult) -> dict:
     }
 
 
-def _cmd_measure(args, out: _Output) -> int:
-    spec = TrinomialSpec(args.n, args.m, args.a, args.b)
+# Each _cmd_* handler takes the parsed args and the JSON envelope's config
+# dict, adds any fields of its own to that dict, and returns its records;
+# cli_dispatch renders them.
+
+def _cmd_measure(args, envelope) -> list[dict]:
+    spec = _spec(args)
     routes = {
         "roots": lambda: mahler.measure_from_roots(spec),
         "jensen": lambda: mahler.measure_jensen(spec, **_tol(args)),
@@ -167,70 +186,59 @@ def _cmd_measure(args, out: _Output) -> int:
             if args.method != "all":
                 raise
             records.append({"method": method, "error": f"{type(exc).__name__}: {exc}"})
-    out.emit(records)
-    return 0
+    return records
 
 
-def _cmd_house(args, out: _Output) -> int:
-    spec = TrinomialSpec(args.n, args.m, args.a, args.b)
-    out.emit([{"house": mahler.house(spec)}])
-    return 0
+def _cmd_house(args, envelope) -> list[dict]:
+    return [{"house": mahler.house(_spec(args))}]
 
 
-def _cmd_roots(args, out: _Output) -> int:
-    spec = TrinomialSpec(args.n, args.m, args.a, args.b)
-    rs = all_roots(spec)
-    out.config.update(residual_bound=rs.residual_bound, certified=rs.certified,
-                      iterations=rs.iterations)
+def _cmd_roots(args, envelope) -> list[dict]:
+    rs = all_roots(_spec(args))
+    envelope.update(residual_bound=rs.residual_bound, certified=rs.certified,
+                    iterations=rs.iterations)
     records = [
         {"re": r.real, "im": r.imag, "modulus": abs(r)} for r in rs.roots
     ]
     if args.classify:
         form, flipped = normalize(args.n, args.m, args.a, args.b)
         labelled = classify_real_roots(form)
-        out.config.update(family=form.family, family_a=form.a, flipped=flipped)
+        envelope.update(family=form.family, family_a=form.a, flipped=flipped)
         records.extend({"label": name, "value": value} for name, value in labelled.entries)
-    out.emit(records)
-    return 0
+    return records
 
 
-def _cmd_factor(args, out: _Output) -> int:
-    spec = TrinomialSpec(args.n, args.m, args.a, args.b)
-    result = factor.factorize(to_dense(spec))
-    out.config.update(content=result.content)
-    out.emit([
+def _cmd_factor(args, envelope) -> list[dict]:
+    result = factor.factorize(to_dense(_spec(args)))
+    envelope.update(content=result.content)
+    return [
         {"degree": p.degree, "coeffs": list(p.coeffs), "multiplicity": mult}
         for p, mult in result.factors
-    ])
-    return 0
+    ]
 
 
-def _cmd_irreducible(args, out: _Output) -> int:
-    spec = TrinomialSpec(args.n, args.m, args.a, args.b)
-    verdict = factor.is_irreducible(to_dense(spec))
+def _cmd_irreducible(args, envelope) -> list[dict]:
+    verdict = factor.is_irreducible(to_dense(_spec(args)))
     rec = {"verdict": verdict.verdict, "certificate": verdict.certificate}
     if verdict.witness is not None:
         rec["witness_coeffs"] = list(verdict.witness.coeffs)
         rec["witness_degree"] = verdict.witness.degree
-    out.emit([rec])
-    return 0
+    return [rec]
 
 
-def _cmd_limit(args, out: _Output) -> int:
+def _cmd_limit(args, envelope) -> list[dict]:
     case = mahler.limit_case(args.a, args.b)
     result = mahler.limit_measure(args.a, args.b, **_tol(args))
-    rec = {
+    return [{
         "case": case.case.value,
         "gamma": case.gamma,
         "value": result.value,
         "log_value": result.log_value,
         "error_bound": result.error_bound,
-    }
-    out.emit([rec])
-    return 0
+    }]
 
 
-def _cmd_series(args, out: _Output) -> int:
+def _cmd_series(args, envelope) -> list[dict]:
     result = mahler.series_measure(args.n, args.m, args.a, args.b,
                                    k_max=args.kmax, **_tol(args))
     records = [_measure_record(result)]
@@ -238,24 +246,17 @@ def _cmd_series(args, out: _Output) -> int:
         records.extend(
             {"k": t.k, "closed_form": t.closed_form} for t in result.terms
         )
-    out.emit(records)
-    return 0
+    return records
 
 
-def _cmd_bounds(args, out: _Output) -> int:
-    form = FamilyForm(args.family, args.n, args.m, args.a)
-    report = bounds.house_lower_bound(form)
-    out.emit([{
-        "family": form.family, "n": form.n, "m": form.m, "a": form.a,
-        "bound": report.bound, "t0": report.t0, "house": report.house,
-        "satisfied": report.satisfied, "reason": report.reason,
-    }])
-    return 0
+def _cmd_bounds(args, envelope) -> list[dict]:
+    return [_fields(bounds.house_lower_bound(
+        FamilyForm(args.family, args.n, args.m, args.a)))]
 
 
-def _cmd_compare_bounds(args, out: _Output) -> int:
+def _cmd_compare_bounds(args, envelope) -> list[dict]:
     cb = bounds.comparison_bounds(args.n)
-    out.emit([{
+    return [{
         "n": cb.n,
         "dimitrov": cb.dimitrov,
         "matveev": cb.matveev,
@@ -265,22 +266,15 @@ def _cmd_compare_bounds(args, out: _Output) -> int:
         "verger_gaugry_note": "applies to the reciprocal-of-root family of z^n + z - 1",
         "smyth_boyd_house": cb.smyth_boyd_house,
         "trivial_mn": cb.trivial_mn,
-    }])
-    return 0
+    }]
 
 
-def _cmd_extremal(args, out: _Output) -> int:
-    form = FamilyForm(args.family, args.n, args.m, args.a)
-    verdict = bounds.check_extremality(form)
-    out.emit([{
-        "family": form.family, "n": form.n, "m": form.m, "a": form.a,
-        "house": verdict.house, "threshold": verdict.threshold,
-        "verdict": verdict.verdict, "sign_certificate": verdict.sign_certificate,
-    }])
-    return 0
+def _cmd_extremal(args, envelope) -> list[dict]:
+    return [_fields(bounds.check_extremality(
+        FamilyForm(args.family, args.n, args.m, args.a)))]
 
 
-def _cmd_scan(args, out: _Output) -> int:
+def _cmd_scan(args, envelope) -> list[dict]:
     hits = scan.scan_conjecture(
         n_max=args.n_max,
         a_values=args.a,
@@ -295,18 +289,12 @@ def _cmd_scan(args, out: _Output) -> int:
         f"coprime_only={not args.all_m} -> {len(hits)} reducible/errored rows "
         f"(complete up to n_max only)\n"
     )
-    out.emit([scan.record_to_dict(r, include_elapsed=False) for r in hits],
-             jsonl=True)
-    return 0
+    return [scan.record_to_dict(r, include_elapsed=False) for r in hits]
 
 
-def _cmd_converge(args, out: _Output) -> int:
-    rows = scan.convergence_table(args.a, args.b, args.n, args.m_rule)
-    out.emit([
-        {"n": r.n, "m": r.m, "measure": r.measure, "limit": r.limit, "gap": r.gap}
-        for r in rows
-    ])
-    return 0
+def _cmd_converge(args, envelope) -> list[dict]:
+    return [_fields(row) for row in
+            scan.convergence_table(args.a, args.b, args.n, args.m_rule)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,16 +402,22 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         if hasattr(args, key) and getattr(args, key) is not None:
             out.config[key] = getattr(args, key)
 
-    try:
-        return args.func(args, out)
-    except (TrinotoolError, ValueError, OverflowError, OSError) as exc:
+    with warnings.catch_warnings():
         if args.format == "json":
-            sys.stderr.write(json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            ) + "\n")
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return 1
+            # stderr holds only the JSON error object: numpy's overflow
+            # warnings foretell a NaN, which is refused as ConvergenceFailure
+            warnings.simplefilter("ignore")
+        try:
+            out.emit(args.func(args, out.config), jsonl=args.command == "scan")
+            return 0
+        except (TrinotoolError, ValueError, OverflowError, OSError) as exc:
+            if args.format == "json":
+                sys.stderr.write(json.dumps(
+                    {"error": {"type": type(exc).__name__, "message": str(exc)}}
+                ) + "\n")
+            else:
+                sys.stderr.write(f"error: {exc}\n")
+            return 1
 
 
 def main() -> None:

@@ -59,9 +59,6 @@ _WG = (
 )
 
 
-_TABLES = ("_NODES", "_WK", "_WGFULL")  # _rule's tables, readable by these names
-
-
 @cache
 def _rule():
     """The 15 ascending nodes, their Kronrod weights and the Gauss weights
@@ -73,12 +70,6 @@ def _rule():
     wgfull = np.zeros(15)
     wgfull[1:-1:2] = np.concatenate([wg[:-1], [wg[-1]], wg[-2::-1]])
     return nodes, wk, wgfull
-
-
-def __getattr__(name):
-    if name in _TABLES:
-        return _rule()[_TABLES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 DEFAULT_TOL = 1e-10  # absolute error target of integrate and its mahler callers

@@ -222,12 +222,10 @@ def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
     return _scan_orbit((item,))[0]
 
 
-def _sort_key(rec: ScanRecord):
-    return (rec.n, rec.m, abs(rec.a), 0 if rec.a < 0 else 1, rec.b)
-
-
 def _work_items(n_max: int, a_values: Iterable[int], signs: Iterable[int],
                 coprime_only: bool) -> list[tuple[int, int, int, int]]:
+    """The grid's cells in canonical order: by n, then m, then |a| with the
+    negative a first, then b."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     a_sorted = sorted(set(int(a) for a in a_values), key=lambda a: (abs(a), a))
@@ -297,7 +295,8 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
                     coprime_only: bool = True, threads: int = 1,
                     cache_path: str | None = None) -> list[ScanRecord]:
     """Scan every (n <= n_max, 0 < m < n, a, b) cell and return the reducible
-    (and errored) records, canonically sorted.
+    (and errored) records in work-item order, the canonical order (see
+    _work_items), whatever the thread count or cache.
 
     All completed records, including irreducible ones, are appended to the
     cache file when one is given; a rerun with the same cache skips finished
@@ -332,10 +331,7 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
                 cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
                 cache_fh.flush()
 
-    wanted = [records[it] for it in items]
-    hits = [r for r in wanted if r.reducible or r.error]
-    hits.sort(key=_sort_key)
-    return hits
+    return [r for r in (records[it] for it in items) if r.reducible or r.error]
 
 
 def _m_for_rule(n: int, m_rule: str) -> int:

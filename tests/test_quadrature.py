@@ -13,11 +13,12 @@ from trinotool.quadrature import integrate
 def _heap_panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * quadrature._NODES
+    nodes, wk, wgfull = quadrature._rule()
+    x = mid + half * nodes
     y = np.asarray(f(x))
-    resk = half * np.sum(quadrature._WK * y)
-    resg = half * np.sum(quadrature._WGFULL * y)
-    resasc = abs(half) * float(np.sum(quadrature._WK * np.abs(y - resk / (b - a))))
+    resk = half * np.sum(wk * y)
+    resg = half * np.sum(wgfull * y)
+    resasc = abs(half) * float(np.sum(wk * np.abs(y - resk / (b - a))))
     raw = abs(resk - resg)
     if resasc != 0.0 and raw != 0.0:
         err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
