@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Output goes to stdout (or --out FILE) as JSON, CSV or text; diagnostics go to
-stderr, which in json mode holds only the JSON error object (and scan's
-summary line).  Every subcommand takes --format and --out; --tolerance exists
-only on measure, limit and series, the commands whose quadrature or series
-reads it.  Each command returns its records and cli_dispatch renders them:
-single-shot commands as an envelope {tool_version, config, records} in JSON
-mode, scans as one JSON object per line so they stream and diff cleanly.
+stderr, which in json mode holds one JSON object: the error of a failing
+command, or scan's summary {"scan": {...}}.  Every subcommand takes --format
+and --out; --tolerance exists only on measure, limit and series, the commands
+whose quadrature or series reads it.  Each command returns its records and
+cli_dispatch renders them: single-shot commands as an envelope
+{tool_version, config, records} in JSON mode, scans as one JSON object per
+line so they stream and diff cleanly.
 Exit codes: 0 success, 1 domain error, 2 usage error.  No command prints
 NaN: a NaN field is refused as ConvergenceFailure, exit 1.
 """
@@ -284,11 +285,14 @@ def _cmd_scan(args, envelope) -> list[dict]:
         cache_path=args.cache,
     )
     # the scan certifies completeness only up to n_max; record the bound
-    sys.stderr.write(
-        f"scan: n_max={args.n_max} a={sorted(args.a)} signs={sorted(args.signs)} "
-        f"coprime_only={not args.all_m} -> {len(hits)} reducible/errored rows "
-        f"(complete up to n_max only)\n"
-    )
+    facts = {"n_max": args.n_max, "a": sorted(args.a), "signs": sorted(args.signs),
+             "coprime_only": not args.all_m, "rows": len(hits)}
+    if args.format == "json":
+        sys.stderr.write(json.dumps({"scan": facts}) + "\n")
+    else:
+        sys.stderr.write(
+            "scan: n_max={n_max} a={a} signs={signs} coprime_only={coprime_only} "
+            "-> {rows} reducible/errored rows (complete up to n_max only)\n".format(**facts))
     return [scan.record_to_dict(r, include_elapsed=False) for r in hits]
 
 

@@ -20,18 +20,23 @@ and the four-condition necessary test for reducibility of A x^n + B x^m + C
 (if none of the conditions holds, the trinomial is irreducible).
 
 Dense polynomials are plain lists of Python ints in ascending degree order
-throughout this module; the public API wraps them in IntPolynomial.  All
-modular work (the GF(p) splitting, which _gf_factors runs for both
-factor_mod_prime and the factorizer, as well as Hensel lifting mod p^k) runs on
-one (Z/m)[x] kernel: _mod, _mod_mul, _mod_sub, _mod_divmod and _monic, with
-products taken by polycore.dense_mul over Z (one big-int product by Kronecker
-substitution) and reduced once.  _mod_divmod subtracts only the divisor's
-nonzero terms, and the distinct-degree split keeps x^(p^d) reduced modulo the
-input polynomial, a sparse trinomial for scan inputs, rather than modulo the
-shrinking cofactor, so the products of x^(p^d) - x over a block of sqrt(deg)
-consecutive d that share one gcd reduce in O(deg) per product.  Each
-Frobenius power is taken by substitution, h(x)^p = h(x^p) over GF(p), at one
-reduction of O(p deg) by the trinomial (von zur Gathen and Shoup, 1992).
+throughout this module; the public API wraps them in IntPolynomial.  All modular
+work (the GF(p) splitting, which _gf_factors runs for both factor_mod_prime and
+the factorizer, as well as Hensel lifting mod p^k) runs on one (Z/m)[x] kernel:
+_mod, _mod_mul, _mod_sub, _mod_divmod and _monic, with products taken by
+polycore.dense_mul over Z and reduced once.  dense_mul is one big-int product by
+Kronecker substitution whose operands are packed and unpacked through array
+buffers of C integers, so no Python loop runs per coefficient while the digits
+fit in 8 bytes (reduced operands modulo any m < 2^28 with fewer than 256
+terms).  _mod_divmod finds a quotient of one or two terms, as in nearly every
+Euclid step of _gf_gcd and _gf_gcdext, with the remainder in one fused pass; a
+longer quotient subtracts only the divisor's nonzero terms, and the
+distinct-degree split keeps x^(p^d) reduced modulo the input polynomial, a
+sparse trinomial for scan inputs, rather than modulo the shrinking cofactor, so
+the products of x^(p^d) - x over a block of sqrt(deg) consecutive d that share
+one gcd reduce in O(deg) per product.  Each Frobenius power is taken by
+substitution, h(x)^p = h(x^p) over GF(p), at one reduction of O(p deg) by the
+trinomial (von zur Gathen and Shoup, 1992).
 """
 
 from __future__ import annotations
@@ -274,15 +279,23 @@ def _mod_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int
     """(q, r) with f = q g + r over Z/m and deg r < deg g.
 
     g's leading coefficient must be a unit mod m; pow raises ValueError
-    otherwise.  One pass from the top: only g's nonzero lower terms are
-    subtracted, and a coefficient is reduced mod m only where it becomes the
-    next quotient coefficient, plus once at the end, so dividing by a sparse
-    g (the input trinomial) costs O(deg f) rather than O(deg f * deg g).
+    otherwise.  A quotient of one or two terms, as in nearly every Euclid
+    step, is found first and the remainder in one fused pass,
+    r_i = (f_i - q1 g_(i-1) - q0 g_i) mod m.  A longer quotient takes one
+    pass from the top: only g's nonzero lower terms are subtracted, and a
+    coefficient is reduced mod m only where it becomes the next quotient
+    coefficient, plus once at the end, so dividing by a sparse g (the input
+    trinomial) costs O(deg f) rather than O(deg f * deg g).
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     inv = pow(g[-1], -1, m)
     dg = len(g) - 1
+    if dg < len(f) <= dg + 2:
+        q1 = f[dg + 1] * inv % m if len(f) > dg + 1 else 0
+        q0 = (f[dg] - q1 * g[dg - 1]) * inv % m if dg else f[dg] * inv % m
+        return _trim([q0, q1]), _trim([(a - q1 * b - q0 * c) % m
+                                       for a, b, c in zip(f, chain((0,), g), g[:dg])])
     lower = [(i, c) for i, c in enumerate(g[:-1]) if c]
     r = list(f)
     q = [0] * max(len(r) - dg, 0)

@@ -1,5 +1,6 @@
 """What the CLI prints, command by command: the field order of text and CSV
-records, and a json-mode stderr that holds nothing but the error object."""
+records, and a json-mode stderr that holds one JSON object: the error, or
+scan's summary."""
 
 import json
 import os
@@ -74,6 +75,15 @@ def test_readme_commands_print_fields_in_fixed_order(argv, key_sequences, header
     assert _printed(tmp_path, argv, "csv").splitlines()[0] == header
 
 
+def _run_json(argv, cwd=None):
+    """argv run with --format json in a fresh interpreter."""
+    src = str(Path(polycore.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "trinotool", *argv, "--format", "json"],
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ("roots", "60", "59", "-1000000", "-1"),
     ("measure", "7", "3", "1e300", "1"),
@@ -82,11 +92,15 @@ def test_readme_commands_print_fields_in_fixed_order(argv, key_sequences, header
 def test_json_mode_stderr_is_one_error_object(argv):
     # a fresh interpreter: numpy warns once per code location per process, so
     # an earlier test in this one may already have spent the warnings
-    src = str(Path(polycore.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "trinotool", *argv, "--format", "json"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_json(argv)
     assert proc.returncode == 1 and proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
     assert error["type"] == "ConvergenceFailure" and "NaN" in error["message"]
+
+
+def test_json_mode_scan_stderr_is_one_summary_object(tmp_path):
+    proc = _run_json(("scan", "--n-max", "8", "--a", "3"), cwd=tmp_path)
+    assert proc.returncode == 0
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert json.loads(proc.stderr) == {"scan": {
+        "n_max": 8, "a": [3], "signs": [-1, 1], "coprime_only": True, "rows": len(rows)}}

@@ -222,6 +222,30 @@ def test_dense_mul_matches_schoolbook(rng):
     f = [2**64 - 1] * 255
     for g in (f, [-c for c in f]):
         assert dense_mul(f, g) == _schoolbook(f, g)
+    # digit widths at each boundary of the 1-, 2-, 4- and 8-byte array paths
+    # and the byte-slice path past them: bits(max|f|) + bits(max|g|)
+    # + bits(shorter length), plus one bit with a negative coefficient, is
+    # exactly 8, 16, 32, 64 or 72 bits, or one bit more
+    for total in (8, 9, 16, 17, 32, 33, 64, 65, 72, 73):
+        for signed in (False, True):
+            for len_f, len_g in ((3, 3), (5, 17), (30, 4)):
+                spare = total - signed - min(len_f, len_g).bit_length()
+                top_f, top_g = 2**(spare // 2) - 1, 2**(spare - spare // 2) - 1
+                low = -1 if signed else 0
+                f = [top_f] * len_f
+                g = [rng.randint(low * top_g, top_g) for _ in range(len_g - 1)] + [top_g]
+                if signed:
+                    f[rng.randrange(len_f)] = -top_f
+                for a, b in ((f, g), (g, f), (tuple(f), tuple(g)), (f + [0, 0], g)):
+                    out = dense_mul(a, b)
+                    assert out == _schoolbook(a, b), (total, signed, a, b)
+                    assert all(type(c) is int for c in out)
+    # 1- and 2-term operands on either side, as lists or tuples, untrimmed
+    for short in ([5], [-3], [0], [2, -7], [0, 4], [9, 0], [2**70, -1]):
+        for long in ([1, -2, 3], [2**64 - 1, 0, 7, 0, 0], [0, 0, 0, 0]):
+            for a, b in ((short, long), (long, short), (tuple(short), tuple(long))):
+                out = dense_mul(a, b)
+                assert out == _schoolbook(a, b) and all(type(c) is int for c in out)
 
 
 def _poly_sum(*terms):
@@ -262,6 +286,41 @@ def test_mod_divmod_identity(rng, p, k):
         assert _mod(_poly_sum((1, dense_mul(q, g)), (1, r), (-1, f)), m) == []
         assert len(r) < len(g)
         assert all(0 <= c < m for c in q + r)
+
+
+def _long_division(f, g, m):
+    """Reference (q, r) over Z/m: schoolbook long division, every coefficient
+    reduced as it is formed, independent of _mod_divmod."""
+    inv = pow(g[-1], -1, m)
+    r = [c % m for c in f]
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for shift in reversed(range(len(q))):
+        q[shift] = r[shift + len(g) - 1] * inv % m
+        for i, c in enumerate(g):
+            r[shift + i] = (r[shift + i] - q[shift] * c) % m
+    r = r[:len(g) - 1]
+    while q and q[-1] == 0:
+        q.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+@pytest.mark.parametrize("m", [5, 7, 5**8, 2**64 + 13])
+def test_mod_divmod_matches_long_division(rng, m):
+    for quotient_len in range(4):
+        for _ in range(60):
+            dg = rng.randint(0, 12)
+            lead = rng.choice([1, 2, m - 1])  # monic, then non-monic unit leads
+            if rng.random() < 0.5 and dg > 1:  # sparse: a trinomial divisor
+                g = [0] * dg + [lead]
+                g[0], g[rng.randrange(1, dg)] = rng.randrange(1, m), rng.randrange(1, m)
+            else:
+                g = [rng.randrange(m) for _ in range(dg)] + [lead]
+            f = [rng.randrange(-m * m, m * m) for _ in range(dg + quotient_len)]
+            if f and rng.random() < 0.3:
+                f[-1] = m * rng.randint(-2, 2)  # top coefficient 0 mod m
+            assert _mod_divmod(f, g, m) == _long_division(f, g, m), (f, g, m)
 
 
 def test_gf_pow_mod_matches_repeated_products(rng):
