@@ -284,16 +284,19 @@ def _cmd_scan(args, envelope) -> list[dict]:
         threads=args.threads,
         cache_path=args.cache,
     )
-    # the scan certifies completeness only up to n_max; record the bound
-    facts = {"n_max": args.n_max, "a": sorted(args.a), "signs": sorted(args.signs),
-             "coprime_only": not args.all_m, "rows": len(hits)}
-    if args.format == "json":
-        sys.stderr.write(json.dumps({"scan": facts}) + "\n")
-    else:
-        sys.stderr.write(
-            "scan: n_max={n_max} a={a} signs={signs} coprime_only={coprime_only} "
-            "-> {rows} reducible/errored rows (complete up to n_max only)\n".format(**facts))
     return [scan.record_to_dict(r, include_elapsed=False) for r in hits]
+
+
+def _scan_summary(args, rows: int) -> str:
+    """scan's stderr summary, written once its rows are out: the scan
+    certifies completeness only up to n_max, so the line records the bound.
+    In json mode it is one JSON object, {"scan": {...}}."""
+    facts = {"n_max": args.n_max, "a": sorted(args.a), "signs": sorted(args.signs),
+             "coprime_only": not args.all_m, "rows": rows}
+    if args.format == "json":
+        return json.dumps({"scan": facts}) + "\n"
+    return ("scan: n_max={n_max} a={a} signs={signs} coprime_only={coprime_only} "
+            "-> {rows} reducible/errored rows (complete up to n_max only)\n".format(**facts))
 
 
 def _cmd_converge(args, envelope) -> list[dict]:
@@ -412,7 +415,10 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
             # warnings foretell a NaN, which is refused as ConvergenceFailure
             warnings.simplefilter("ignore")
         try:
-            out.emit(args.func(args, out.config), jsonl=args.command == "scan")
+            records = args.func(args, out.config)
+            out.emit(records, jsonl=args.command == "scan")
+            if args.command == "scan":
+                sys.stderr.write(_scan_summary(args, len(records)))
             return 0
         except (TrinotoolError, ValueError, OverflowError, OSError) as exc:
             if args.format == "json":

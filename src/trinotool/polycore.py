@@ -220,10 +220,9 @@ class FamilyForm:
         return _eval_terms((0, self.m, self.n), (sb, sa * self.a, 1), x)
 
 
-# array typecodes by item size, signed and unsigned ("l" is left out: it is 8
-# bytes on most platforms but 4 on Windows), and each digit's byte count
-# rounded up to one of those sizes
-_SIGNED = {array(code).itemsize: code for code in "bhiq"}
+# unsigned array typecodes by item size ("L" is left out: it is 8 bytes on
+# most platforms but 4 on Windows), and each digit's byte count rounded up to
+# one of those sizes
 _UNSIGNED = {array(code).itemsize: code for code in "BHIQ"}
 _WORD = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
@@ -247,22 +246,16 @@ def dense_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
     multiplied once (in C), and the product's k-bit digits are its
     coefficients.  With every product coefficient c below 2^b in absolute
     value, b = bits(max|f|) + bits(max|g|) + bits(min(len f, len g)), the
-    digits take one of three paths:
+    digits take one of two paths:
 
-    - no negative coefficient (every reduced modular operand): k >= b, and
-      each operand is packed and the product unpacked through one array of
-      unsigned C integers of 1, 2, 4 or 8 bytes in native byte order;
-    - mixed signs, k >= b + 1 bits of the same sizes: the operands are
-      packed as signed arrays, whose two's-complement digits u read as one
-      int U are corrected to the true value by subtracting 2^k for every
-      digit with its sign bit set, U - (((U >> (k-1)) & ones) << k) with a
-      1 in each digit of ones.  The product P has |c| < 2^(k-1), so with
-      2^(k-1) in each digit of bias, P + bias has every digit c + 2^(k-1)
-      in [0, 2^k) without borrows, and (P + bias) ^ bias turns each back
-      into c's two's complement, read by one signed array;
-    - wider digits (large Hensel moduli, huge coefficients): k is a whole
-      number of bytes at least b + 1, the bias is added the same way, and
-      each digit is read back from its own byte slice less 2^(k-1).
+    - no negative coefficient (every reduced modular operand) and k >= b of
+      1, 2, 4 or 8 bytes: each operand is packed and the product unpacked
+      through one array of unsigned C integers in native byte order;
+    - otherwise (a negative coefficient, as in IntPolynomial products, or
+      digits past 8 bytes: large Hensel moduli, huge coefficients): k is a
+      whole number of bytes at least b + 1, 2^(k-1) is added to every
+      digit of the product so that each lies in [0, 2^k) without borrows,
+      and each digit is read back from its own byte slice less 2^(k-1).
     """
     if not f or not g:
         return []
@@ -275,23 +268,13 @@ def dense_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
         return [c0 * x + c1 * y for x, y in zip(chain(f, (0,)), chain((0,), f))]
     n = len(f) + len(g) - 1
     f_low, g_low = min(f), min(g)
-    signed = f_low < 0 or g_low < 0
     bits = (max(max(f), -f_low).bit_length() + max(max(g), -g_low).bit_length()
             + len(g).bit_length())
-    size = (bits + signed + 7) >> 3  # bytes, rounded up
-    if size <= 8:
+    size = (bits + 7) >> 3  # bytes, rounded up
+    if size <= 8 and f_low >= 0 and g_low >= 0:
         size = _WORD[size]
-        code = (_SIGNED if signed else _UNSIGNED)[size]
-        u, v = _packed(f, code), _packed(g, code)
-        if signed:
-            k = size << 3
-            ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
-            u -= ((u >> (k - 1)) & ones) << k
-            v -= ((v >> (k - 1)) & ones) << k
-            bias = ones << (k - 1)
-            product = (u * v + bias) ^ bias
-        else:
-            product = u * v
+        code = _UNSIGNED[size]
+        product = _packed(f, code) * _packed(g, code)
         return array(code, product.to_bytes(size * n, sys.byteorder)).tolist()
     width = (bits + 8) >> 3
     k = width << 3

@@ -104,3 +104,9 @@ def test_json_mode_scan_stderr_is_one_summary_object(tmp_path):
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert json.loads(proc.stderr) == {"scan": {
         "n_max": 8, "a": [3], "signs": [-1, 1], "coprime_only": True, "rows": len(rows)}}
+    # the summary follows the rows: an --out that cannot be written leaves
+    # stderr with the error object alone
+    proc = _run_json(("scan", "--n-max", "8", "--a", "3", "--out",
+                      str(tmp_path / "no" / "such" / "dir" / "x")), cwd=tmp_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"

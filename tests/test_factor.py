@@ -225,7 +225,8 @@ def test_dense_mul_matches_schoolbook(rng):
     # digit widths at each boundary of the 1-, 2-, 4- and 8-byte array paths
     # and the byte-slice path past them: bits(max|f|) + bits(max|g|)
     # + bits(shorter length), plus one bit with a negative coefficient, is
-    # exactly 8, 16, 32, 64 or 72 bits, or one bit more
+    # exactly 8, 16, 32, 64 or 72 bits, or one bit more.  Mixed signs take
+    # the byte-slice path at every width, with its sign bit as the extra one
     for total in (8, 9, 16, 17, 32, 33, 64, 65, 72, 73):
         for signed in (False, True):
             for len_f, len_g in ((3, 3), (5, 17), (30, 4)):
