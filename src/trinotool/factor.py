@@ -41,6 +41,7 @@ trinomial (von zur Gathen and Shoup, 1992).
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -172,16 +173,14 @@ def _deg(c: list[int]) -> int:
 
 
 def _add(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return _trim(out)
+    if len(f) < len(g):
+        f, g = g, f
+    return _trim(list(map(operator.add, f, g)) + f[len(g):])
 
 
 def _sub(f: list[int], g: list[int]) -> list[int]:
-    return _add(f, [-c for c in g])
+    tail = f[len(g):] if len(f) >= len(g) else list(map(operator.neg, g[len(f):]))
+    return _trim(list(map(operator.sub, f, g)) + tail)
 
 
 def _divmod_exact(f: list[int], g: list[int]) -> tuple[list[int] | None, list[int]]:

@@ -157,9 +157,10 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     one, P(e^it) = sum c_k e^(ik theta) 2i e^(ikd/2) sin(kd/2), d = t - theta in
     (-pi, pi] from the nearest such theta: this does not cancel at a double zero.
 
-    The integral is taken twice, at tol and at tol/10.  The finer value is
-    returned, with log error (fine error + |fine - coarse|) / 2pi: on a sharp
-    dip of |P| without a zero the panel estimate alone can understate the error.
+    The integral is refined to tol, then on to tol/10 from the same panels.
+    The finer value is returned, with log error (fine error + |fine - coarse|)
+    / 2pi: on a sharp dip of |P| without a zero the panel estimate alone can
+    understate the error.
     """
     require_float(spec.a, spec.b)
     bps = _circle_breakpoints(spec)
@@ -181,7 +182,7 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
         return np.log(np.maximum(modulus(t), 1e-300))
 
     coarse = integrate(integrand, 0.0, 2 * math.pi, tol, breakpoints=bps)
-    fine = integrate(integrand, 0.0, 2 * math.pi, tol / 10, breakpoints=bps)
+    fine = integrate(integrand, 0.0, 2 * math.pi, tol / 10, start=coarse)
     return _jensen_result(fine, abs(fine.value - coarse.value))
 
 

@@ -17,11 +17,19 @@ worst-first heap could not stop before splitting each of them (halving replaces
 an error by two non-negative ones), and it splits them in the same order as
 long as no half is worse than the batch's last panel, the usual case once the
 rule converges on a panel.
+
+``integrate(..., start=earlier)`` continues from the final panels of an earlier
+result on the same interval instead of starting again from the breakpoints.
+The heap's order of splits does not depend on ``tol``, only its stopping point
+does: a heap run to a finer tol passes through the state where the summed error
+first falls to the coarser one.  So refining the coarse run's panels on to the
+finer tol ends on the panels of one run at the finer tol, and skips the rounds
+the two runs share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import QuadratureBudgetExceeded
@@ -82,6 +90,12 @@ class QuadResult:
     error: float
     evals: int
     panels: int
+    # the final panels (endpoints, values, errors) and the evaluations spent
+    # since the first pass, for integrate(..., start=this)
+    _pts: object = field(default=None, repr=False, compare=False)
+    _val: object = field(default=None, repr=False, compare=False)
+    _err: object = field(default=None, repr=False, compare=False)
+    _spent: int = field(default=0, repr=False, compare=False)
 
 
 def _panels(f, a, b):
@@ -101,8 +115,15 @@ def _panels(f, a, b):
 
 
 def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
-              breakpoints: tuple[float, ...] = ()) -> QuadResult:
+              breakpoints: tuple[float, ...] = (),
+              start: QuadResult | None = None) -> QuadResult:
     """Integrate f over [lo, hi], splitting initially at the given breakpoints.
+
+    With start, a result of integrate over the same [lo, hi] (else ValueError),
+    refinement continues from start's final panels, and breakpoints are not
+    read: at a finer tol this ends on the panels of one call at that tol from
+    start's breakpoints (see the module docstring).  The result's evals counts
+    this call's evaluations only; _MAX_EVALS counts from start's first pass.
 
     Each round halves, in one call of f, the fewest worst panels (stable order
     by error) whose errors add up to more than the total error minus tol: the
@@ -114,9 +135,16 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
-    pts = np.array(sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)}), dtype=float)
-    val, err = _panels(f, pts[:-1], pts[1:])
-    evals = 15 * len(val)
+    if start is None:
+        pts = np.array(sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)}), dtype=float)
+        val, err = _panels(f, pts[:-1], pts[1:])
+        spent = 0
+        evals = 15 * len(val)
+    else:
+        if start._pts is None or (start._pts[0], start._pts[-1]) != (lo, hi):
+            raise ValueError("start is not a result of integrate over [lo, hi]")
+        pts, val, err = start._pts, start._val.copy(), start._err.copy()
+        spent = evals = start._spent
     width_floor = 1e-15 * (hi - lo)
 
     while (err_total := err.sum()) > tol:
@@ -142,5 +170,5 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
         err = np.insert(err, split + 1, e[len(split):])
         pts = np.insert(pts, split + 1, mid)
 
-    return QuadResult(value=sum(val.tolist()), error=sum(err.tolist()), evals=evals,
-                      panels=len(val))
+    return QuadResult(value=sum(val.tolist()), error=sum(err.tolist()), evals=evals - spent,
+                      panels=len(val), _pts=pts, _val=val, _err=err, _spent=evals)

@@ -28,7 +28,7 @@ from trinotool.polycore import (
     normalize,
     to_dense,
 )
-from trinotool.quadrature import QuadResult
+from trinotool.quadrature import QuadResult, integrate
 
 
 def random_spec(rng, n_max=20, a_abs_max=8, a_abs_min=1):
@@ -263,6 +263,37 @@ def test_measure_jensen_budget_propagates(monkeypatch):
         measure_jensen(TrinomialSpec(2, 1, 1, 1), tol=0.0)
 
 
+@pytest.mark.parametrize("spec", [(120, 77, 6, -5), (240, 151, -1.827, -0.827)])
+def test_jensen_fine_pass_resumes_the_coarse_panels(spec, monkeypatch):
+    # the tol/10 pass continues from the tol pass's panels, so Jensen makes
+    # fewer integrand rounds than two passes that each start from breakpoints
+    from trinotool import quadrature
+
+    rounds = []
+    panels = quadrature._panels
+
+    def counted(*args):
+        rounds.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    passes = []
+
+    def spy(f, lo, hi, tol, breakpoints=(), start=None):
+        passes.append((f, tol, breakpoints))
+        return integrate(f, lo, hi, tol, breakpoints, start=start)
+
+    monkeypatch.setattr(mahler, "integrate", spy)
+    measure_jensen(TrinomialSpec(*spec))
+    resumed = len(rounds)
+    (f, tol, bps), (_, fine_tol, _) = passes
+    rounds.clear()
+    integrate(f, 0.0, 2 * math.pi, tol, bps)
+    integrate(f, 0.0, 2 * math.pi, fine_tol, bps)
+    assert fine_tol == tol / 10
+    assert resumed < len(rounds)
+
+
 def test_series_preconditions():
     with pytest.raises(CoprimalityViolated):
         series_measure(4, 2, 3, 1)
@@ -287,7 +318,7 @@ def test_jensen_bound_adds_the_gap_between_its_two_passes(monkeypatch):
     passes = iter([QuadResult(0.0, 1e-12, 15, 1), QuadResult(2 * math.pi * 1e-6, 1e-13, 15, 1)])
     tols = []
 
-    def fake(f, lo, hi, tol, breakpoints=()):
+    def fake(f, lo, hi, tol, breakpoints=(), start=None):
         tols.append(tol)
         return next(passes)
 

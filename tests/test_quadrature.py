@@ -174,12 +174,66 @@ def test_rounds_match_the_heap_on_every_integrand(case):
     lambda: mahler.limit_measure(0.8, 0.7j),
 ])
 def test_rounds_match_the_heap_on_the_measure_integrands(call, monkeypatch):
-    seen = []
+    # a resumed call ends where the heap does from scratch at its tol, on the
+    # breakpoints of the call it resumes, having spent the same evaluations
+    seen = {}
 
-    def spy(f, lo, hi, tol=quadrature.DEFAULT_TOL, breakpoints=()):
-        seen.append(tol)
-        return assert_same_work(f, lo, hi, tol, breakpoints)
+    def spy(f, lo, hi, tol=quadrature.DEFAULT_TOL, breakpoints=(), start=None):
+        if start is None:
+            r = assert_same_work(f, lo, hi, tol, breakpoints)
+            seen[id(r)] = breakpoints
+            return r
+        r = integrate(f, lo, hi, tol, start=start)
+        value, evals, panels = heap_integrate(f, lo, hi, tol, seen[id(start)])
+        assert (start.evals + r.evals, r.panels) == (evals, panels)
+        assert abs(r.value - value) <= 1e-14 * max(1.0, abs(value))
+        return r
 
     monkeypatch.setattr(mahler, "integrate", spy)
     call()
     assert seen
+
+
+def test_resume_at_a_tol_already_met_makes_no_call():
+    f = lambda t: np.log(np.maximum(np.abs(np.exp(1j * t) - 1.0), 1e-300))
+    first = integrate(f, 0.0, 2 * math.pi, 1e-8, breakpoints=(math.pi,))
+    calls = []
+
+    def g(t):
+        calls.append(t.size)
+        return f(t)
+
+    again = integrate(g, 0.0, 2 * math.pi, 1e-8, start=first)
+    assert calls == []
+    assert (again.value, again.error, again.evals, again.panels) == (
+        first.value, first.error, 0, first.panels)
+
+
+def test_resume_counts_its_own_evals_and_the_budget_from_the_first_pass(monkeypatch):
+    coarse = integrate(np.log, 0.0, 1.0, 1e-6)
+    fine = integrate(np.log, 0.0, 1.0, 1e-9, start=coarse)
+    assert fine.evals + coarse.evals == integrate(np.log, 0.0, 1.0, 1e-9).evals
+    # a resumed call gives up where one pass at its tol would
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", coarse.evals + fine.evals - 30)
+    with pytest.raises(QuadratureBudgetExceeded):
+        integrate(np.log, 0.0, 1.0, 1e-9)
+    with pytest.raises(QuadratureBudgetExceeded):
+        integrate(np.log, 0.0, 1.0, 1e-9, start=coarse)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", coarse.evals + fine.evals)
+    assert integrate(np.log, 0.0, 1.0, 1e-9, start=coarse).value == fine.value
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.5, 1.0)])
+def test_resume_from_another_interval_is_refused(lo, hi):
+    coarse = integrate(lambda x: x**2, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate(lambda x: x**2, lo, hi, start=coarse)
+    # a result built by hand carries no panels to resume from
+    with pytest.raises(ValueError):
+        integrate(lambda x: x**2, 0.0, 1.0, start=quadrature.QuadResult(1 / 3, 0.0, 15, 1))
+
+
+def test_result_fields_for_resume_stay_out_of_equality_and_repr():
+    r = integrate(lambda x: x**2, 0.0, 1.0)
+    plain = quadrature.QuadResult(r.value, r.error, r.evals, r.panels)
+    assert r == plain and repr(r) == repr(plain)
