@@ -15,7 +15,9 @@ optional z -> -z substitution:
 ``_SIGNS`` holds each family's (middle, constant) sign pattern; the parity
 rules live only in ``FamilyForm``.  z -> -z, times (-1)^n to stay monic, maps
 the pattern (s, t) to (s (-1)^(n+m), t (-1)^n) (``_reflect``); ``normalize``
-and ``classify_real_roots`` are derived from these two rules.
+and ``classify_real_roots`` are derived from these two rules.  ``_reflect``
+only multiplies by +/-1, so it maps integer coefficients (a, b) as well, and
+``scan`` reads its orbits' cells off it.
 
 Complex roots are found by Aberth-Ehrlich simultaneous iteration, followed by
 one Newton polish and residual-based certification.  A trinomial's start
@@ -173,7 +175,8 @@ _FAMILY_OF = {signs: family for family, signs in _SIGNS.items()}
 
 
 def _reflect(n: int, m: int, signs: tuple[int, int]) -> tuple[int, int]:
-    """Sign pattern after z -> -z, multiplied by (-1)^n to stay monic."""
+    """Sign pattern, or coefficients (a, b), after z -> -z, multiplied by
+    (-1)^n to stay monic."""
     return signs[0] * (-1 if (n + m) % 2 else 1), signs[1] * (-1 if n % 2 else 1)
 
 

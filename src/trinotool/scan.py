@@ -6,7 +6,7 @@ The unit of work is an orbit of pending cells under two maps that send such a
 trinomial P to another one with the same factor degrees:
 
 - z -> -z: (n, m, a, b) -> (n, m, a (-1)^(n+m), b (-1)^n), the polynomial
-  (-1)^n P(-z);
+  (-1)^n P(-z) (``polycore._reflect``);
 - reversal: (n, m, a, b) -> (n, n - m, ab, b), the polynomial b z^n P(1/z).
 
 They commute, so an orbit has 1, 2 or 4 cells; only the cells that are
@@ -119,32 +119,28 @@ class ConvergenceRow:
 def _orbit_moves(item: tuple[int, int, int, int]
                  ) -> dict[tuple[int, int, int, int], tuple[bool, bool]]:
     """Every cell of item's orbit, item first, with the (negate, reverse) move
-    that maps item's polynomial to it: the cell is read off the polynomial
-    that ``_map_factor`` makes of item's, the same rule that maps item's
-    factors.  The two moves commute, so the orbit has 1, 2 or 4 cells."""
-    first = to_dense(TrinomialSpec(*item))
+    that maps item's polynomial to it, read off the tuple: the reversal takes
+    (n, m, a, b) to (n, n - m, ab, b), and z -> -z takes (a, b) to
+    ``polycore._reflect(n, m, (a, b))``.  The two moves commute, so the orbit
+    has 1, 2 or 4 cells."""
+    n, m, a, b = item
     moves: dict[tuple[int, int, int, int], tuple[bool, bool]] = {}
-    for reverse in (False, True):
-        for negate in (False, True):
-            (_, b), (m, a), (n, _) = _map_factor(first, negate, reverse).nonzero_terms()
-            moves.setdefault((n, m, a, b), (negate, reverse))
+    for reverse, (k, c, d) in ((False, (m, a, b)), (True, (n - m, a * b, b))):
+        moves.setdefault((n, k, c, d), (False, reverse))
+        moves.setdefault((n, k, *polycore._reflect(n, k, (c, d))), (True, reverse))
     return moves
 
 
 def _orbits(pending: list[tuple[int, int, int, int]]
             ) -> list[tuple[tuple[int, int, int, int], ...]]:
-    """Group the pending cells by orbit, each orbit in the order of its
-    first cell in pending; an orbit holds only pending cells, so a resumed
-    scan may split one."""
-    left = dict.fromkeys(pending)
-    orbits = []
-    for item in pending:
-        if item in left:
-            orbit = tuple(cell for cell in _orbit_moves(item) if cell in left)
-            for cell in orbit:
-                del left[cell]
-            orbits.append(orbit)
-    return orbits
+    """Group the pending cells by orbit, under its leader
+    ``min(_orbit_moves(cell))``, each orbit in the order of its first cell in
+    pending and its cells in pending order; an orbit holds only pending
+    cells, so a resumed scan may split one."""
+    orbits: dict[tuple[int, int, int, int], list[tuple[int, int, int, int]]] = {}
+    for cell in pending:
+        orbits.setdefault(min(_orbit_moves(cell)), []).append(cell)
+    return [tuple(orbit) for orbit in orbits.values()]
 
 
 def _map_factor(g: IntPolynomial, negate: bool, reverse: bool) -> IntPolynomial:
@@ -285,8 +281,8 @@ def _load_cache(path: str) -> dict[tuple[int, int, int, int], ScanRecord]:
                 continue
             try:
                 rec = record_from_dict(json.loads(line))
-            except (ValueError, KeyError):
-                continue  # ignore a torn final line from an interrupted run
+            except (ValueError, KeyError, TypeError):
+                continue  # a torn final line, or JSON that is not a record: recompute
             cached[rec.key] = rec
     return cached
 
@@ -321,7 +317,8 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
             # numpy loads on first use (polycore.np): load it here, once, so
             # the forked workers inherit it rather than each loading its own
             polycore.np.ndarray  # noqa: B018
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(threads, len(orbits))))
             results = pool.map(_scan_orbit, orbits, chunksize=2)
         else:
             results = map(_scan_orbit, orbits)

@@ -156,14 +156,40 @@ def test_scan_orbits_match_per_cell_factoring(tmp_path):
 
 
 def test_orbit_cells_are_the_mapped_first_cell():
-    # the cells of an orbit and the map of its factors follow one rule
+    # the cells of an orbit and the map of its factors follow one rule; on a
+    # resumed pending list (every other cell) an orbit holds only its pending
+    # cells, all under one leader, and starts with the first of them
     items = scan._work_items(24, [-4, -3, -2, -1, 1, 2, 3, 4], (-1, 1), coprime_only=False)
-    for orbit in scan._orbits(items):
-        moves = scan._orbit_moves(orbit[0])
-        assert set(orbit) == set(moves) == _orbit_of(*orbit[0])
-        first = to_dense(TrinomialSpec(*orbit[0]))
-        for cell in orbit:
-            assert scan._map_factor(first, *moves[cell]) == to_dense(TrinomialSpec(*cell))
+    for pending in (items, items[::2]):
+        position = {cell: i for i, cell in enumerate(pending)}
+        orbits = scan._orbits(pending)
+        assert sorted(cell for orbit in orbits for cell in orbit) == sorted(pending)
+        assert [position[orbit[0]] for orbit in orbits] == sorted(
+            position[orbit[0]] for orbit in orbits)
+        for orbit in orbits:
+            moves = scan._orbit_moves(orbit[0])
+            assert set(moves) == _orbit_of(*orbit[0])
+            assert set(orbit) == set(moves) & position.keys()
+            assert orbit[0] == min(set(orbit), key=position.get)
+            assert len({min(scan._orbit_moves(cell)) for cell in orbit}) == 1
+            first = to_dense(TrinomialSpec(*orbit[0]))
+            for cell in orbit:
+                assert scan._map_factor(first, *moves[cell]) == to_dense(TrinomialSpec(*cell))
+
+
+def test_orbits_build_no_polynomial(monkeypatch):
+    # the orbits are read off the cells' tuples: no dense polynomial is
+    # built or mapped to find a cell
+    items = scan._work_items(16, [-3, -2, 2, 3], (-1, 1), coprime_only=False)
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was built to find an orbit")
+
+    monkeypatch.setattr(scan, "_map_factor", refuse)
+    monkeypatch.setattr(scan, "to_dense", refuse)
+    orbits = scan._orbits(items)
+    assert len(orbits) == len({frozenset(orbit) for orbit in orbits})
+    assert {frozenset(orbit) for orbit in orbits} == {_orbit_of(*item) for item in items}
 
 
 def test_scan_factors_once_per_orbit(tmp_path, monkeypatch):
@@ -249,11 +275,10 @@ def test_scan_orbit_mapping_errors_are_records(monkeypatch):
     good = scan._scan_orbit(orbit)
     assert [r.error for r in good] == [None] * 4
     assert all(r.factor_degrees == (3, 5) for r in good)
-    # a wrong mapped factor fails the re-expansion check of its cell; the
-    # cells themselves, read off the mapped degree-8 trinomial, keep the true map
-    map_factor = scan._map_factor
-    monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse:
-                        map_factor(g, negate, reverse) if g.degree == 8 else g)
+    # a wrong factor map (here: none) fails the re-expansion check of every
+    # cell but the leader, whose move is the identity; the cells themselves
+    # come from the tuples, not from _map_factor
+    monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse: g)
     bad = scan._scan_orbit(orbit)
     assert bad[0] == good[0]
     assert all(r.certificate == "error" and r.measure is None
@@ -286,6 +311,67 @@ def test_record_json_round_trip():
     rec2 = ScanRecord(**{**record_to_dict(rec), "factor_degrees": rec.factor_degrees,
                          "elapsed": 123.0})
     assert rec2 == rec
+
+
+def test_scan_pool_is_capped_at_the_orbit_count(tmp_path, monkeypatch):
+    # a pool forks all its workers at once, so a scan asks for no more
+    # workers than it has orbits; the fake pool maps serially and starts none
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = (9, [-3, 3])
+    cache = tmp_path / "cache.jsonl"
+    clean = scan_conjecture(*args, cache_path=str(cache))
+    assert sizes == []
+    orbits = scan._orbits(scan._work_items(*args, (-1, 1), True))
+    assert scan_conjecture(*args, threads=2) == clean
+    assert scan_conjecture(*args, threads=len(orbits) + 5) == clean
+    assert sizes == [2, len(orbits)]
+    # resumed with three orbits pending, then with one, which needs no pool
+    for dropped, size in ((orbits[:3], [3]), (orbits[:1], [])):
+        sizes.clear()
+        drop = {cell for orbit in dropped for cell in orbit}
+        cache.write_text("".join(
+            line for line in cache.read_text().splitlines(keepends=True)
+            if record_from_dict(json.loads(line)).key not in drop))
+        assert scan_conjecture(*args, threads=8, cache_path=str(cache)) == clean
+        assert sizes == size
+
+
+def test_scan_cache_skips_json_that_is_not_a_record(tmp_path, capsys):
+    # valid JSON lines that are not records are skipped like a torn line,
+    # and their cells recomputed: the report is a fresh scan's
+    argv = ("scan", "--n-max", "9", "--a", "-3,3", "--format", "json")
+    cache = tmp_path / "cache.jsonl"
+    rc, fresh = run_cli(tmp_path, *argv)
+    assert rc == 0 and fresh
+    assert run_cli(tmp_path, *argv, "--cache", str(cache)) == (0, fresh)
+    lines = cache.read_text().splitlines()
+    hit = next(i for i, line in enumerate(lines) if json.loads(line)["reducible"])
+    broken = {**json.loads(lines[hit]), "factor_degrees": None}
+    lines[hit] = json.dumps(broken)
+    cache.write_text("\n".join(["[]", "7", *lines]) + "\n")
+    capsys.readouterr()
+    assert run_cli(tmp_path, *argv, "--cache", str(cache)) == (0, fresh)
+    assert "scan" in json.loads(capsys.readouterr().err)
+    # the one cell recomputed is the one whose record had no factor degrees
+    *_, last = cache.read_text().splitlines()
+    assert record_from_dict(json.loads(last)).key == tuple(broken[k] for k in "nmab")
 
 
 # -------------------------------------------------------- convergence
