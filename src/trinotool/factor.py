@@ -5,14 +5,22 @@ factorization at a good prime (blocked distinct-degree then Cantor-Zassenhaus
 equal-degree splitting) -> one loop of quadratic Hensel lifting over a
 balanced factor tree, one level (p^k to p^2k, one step per inner node) at a
 time, and recombination.  Candidate subsets of the modular factors, of at
-most half the degree, come from one stream in order of size; a larger factor
-is what is left over.  Once the modulus exceeds 2 |lc(f) f(0)|, each level
-drops the subsets that fail the trailing-coefficient test, which no true
-factor fails, trial-divides each passing subset whose own degree's
-coefficient bound the modulus covers, and keeps the first one it does not
-cover for the next level.  An empty stream ends the lift, often below the
-half-degree bound (the early tests of Abbott, Shoup and Zimmermann, ISSAC
-2000).  Every factorization is verified by exact re-expansion.
+most half the degree, are walked in order of size and then in combinations
+order; a larger factor is what is left over.  Once the modulus exceeds
+2 |lc(f) f(0)|, the walk takes only the subsets that pass the
+trailing-coefficient test, which no true factor fails, trial-divides each
+whose own degree's coefficient bound the modulus covers, and resumes at the
+first one it does not cover at the next level.  A walk that ends stops the
+lift, often below the half-degree bound (the early tests of Abbott, Shoup and
+Zimmermann, ISSAC 2000).  The passing subsets of each size are found by meet
+in the middle (_Recombination): the constant products of the subsets of one
+half of the modular factors are matched against those of the other half
+through the divisors of lc(f) f(0), with x mod p, when p divides f(0),
+matched on unit parts.  The divisors are counted from a factorization by
+trial division, taken once per cofactor left to split, and listed only
+where an index repays them; every pair is tested directly where they are
+more than the rows or not known.  Every factorization is verified by exact
+re-expansion.
 
 Two cheap certificates run before the engine: the large-middle-coefficient
 threshold (|a| >= n^2/3 forces x^n + a x^m +/- 1 irreducible when gcd(m,n)=1)
@@ -44,7 +52,7 @@ from __future__ import annotations
 import operator
 import zlib
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, exp, gcd, isqrt, log, log1p, prod
 from random import Random
 
@@ -109,13 +117,17 @@ class FactorizationResult:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
+# every certificate is_irreducible gives
+CERTIFICATES = ("threshold", "schinzel-none", "factorizer", "witness")
+
+
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     """``factorization`` is set whenever the factorizer ran (certificates
     "factorizer" and "witness"), so callers need not factor again."""
 
     verdict: str  # "irreducible" | "reducible"
-    certificate: str  # "threshold" | "schinzel-none" | "factorizer" | "witness"
+    certificate: str  # one of CERTIFICATES
     witness: IntPolynomial | None = None
     factorization: FactorizationResult | None = None
 
@@ -578,45 +590,170 @@ def _choose_prime(f: list[int]) -> int:
     raise ValueError("polynomial is not squarefree over Z")
 
 
-def _subsets(remaining: list[int], degs: list[int], limit: int, size: int):
-    """The subsets of remaining of at least size elements whose degrees sum
-    to at most limit, by size and then in combinations order.  remaining is
-    sorted by degree, so remaining[:s] is the lightest subset of size s."""
-    while size <= len(remaining) and sum(degs[i] for i in remaining[:size]) <= limit:
-        for subset in combinations(remaining, size):
-            if sum(map(degs.__getitem__, subset)) <= limit:
-                yield subset
-        size += 1
+def _factor_small(x: int) -> list[tuple[int, int]] | None:
+    """The prime factorization of x != 0 as (prime, exponent) pairs, or
+    None when it is unknown.
+
+    Trial division by d <= 2^16 leaves a cofactor that is 1 or a prime
+    whenever d passes its square root; only a cofactor with no factor up to
+    2^16 and above 2^32 may be composite, and then None."""
+    x = abs(x)
+    out = []
+    d = 2
+    while d * d <= x:
+        if d > 1 << 16:
+            return None
+        if x % d == 0:
+            e = 0
+            while x % d == 0:
+                x //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if x > 1:
+        out.append((x, 1))
+    return out
 
 
-def _passing(subsets, lifted: list[list[int]], f: list[int], modulus: int):
-    """The subsets of lifted factors that pass the trailing-coefficient test:
-    the constant term of lc(f) prod(lifted[subset]), taken as a symmetric
-    residue mod modulus, divides lc(f) f(0).  The constant term of every
-    factor of f scaled to leading coefficient lc(f) does, once modulus
-    exceeds 2 |lc(f) f(0)|."""
-    lc = f[-1]
-    target = lc * f[0]
-    half = modulus // 2
-    consts = [c[0] for c in lifted]
-    for subset in subsets:
-        tc = lc * prod(map(consts.__getitem__, subset)) % modulus
-        if tc > half:
-            tc -= modulus
-        if tc and target % tc == 0:
-            yield subset
+class _Recombination:
+    """The subsets of the remaining modular factors that pass the
+    trailing-coefficient test at one modulus M = p^k > 2 |lc f(0)|, found by
+    meet in the middle rather than one test per subset.
+
+    remaining is split by position into a low and a high half.  Each half's
+    subsets of degree at most limit are tabulated by size, size k from size
+    k - 1 and only when the walk reaches k, with their products of lifted
+    constants mod M, times lc on the low side.  A subset passes when
+    b_low a_high is congruent mod M to some v = +-d, d | lc f(0); each v is
+    its own symmetric residue, since M > 2 |lc f(0)|.  So the high rows are
+    indexed by residue, and each low row looks up v b_low^-1 for every v.
+    At most one modular factor, x mod p, has a constant divisible by p.  It
+    sorts first, so it is in the low half, and its lifted constant has
+    valuation w = v_p(f(0)) < k: a low row b = p^w u that holds it matches
+    the v with v_p(v) = w on unit parts, (v / p^w) u^-1 mod M / p^w.
+    factors is the prime factorization of lc f(0) (_factor_small), which
+    counts the values v before any is listed.  Tables too small to repay an
+    index, and all tables when factors is None or the values outnumber the
+    high rows, take the direct test pair by pair, and then the values are
+    never listed."""
+
+    def __init__(self, remaining: list[int], degs: list[int], consts: list[int],
+                 f: list[int], factors: list[tuple[int, int]] | None, p: int,
+                 modulus: int):
+        self.remaining, self.degs, self.consts = remaining, degs, consts
+        self.p, self.modulus, self.factors = p, modulus, factors
+        self.limit = _deg(f) // 2
+        self.target = f[-1] * f[0]
+        cut = (len(remaining) + 1) // 2
+        self.halves = (remaining[:cut], remaining[cut:])
+        # rows as (subset, product, degree, position of the next element)
+        self.rows = ([[((), f[-1], 0, 0)]], [[((), 1, 0, 0)]])
+        self.keys: list[list[tuple[int, list[int]]]] = []
+        self.index: dict[tuple[int, int], dict[int, list]] = {}
+        self.count = None if factors is None else 2 * prod(e + 1 for _, e in factors)
+
+    def passing(self, size: int, start: tuple[int, ...] = ()):
+        """The passing subsets of at least size elements, by size and then
+        in combinations order, from start on within the first size."""
+        remaining, degs = self.remaining, self.degs
+        lightest = sum(degs[i] for i in remaining[:size - 1])
+        for i in remaining[size - 1:]:
+            lightest += degs[i]
+            if lightest > self.limit:
+                return
+            for subset in self._matches(size):
+                if subset >= start:
+                    yield subset
+            size, start = size + 1, ()
+
+    def _grow(self, size: int) -> None:
+        """Builds both halves' rows up to size elements."""
+        degs, consts, m, limit = self.degs, self.consts, self.modulus, self.limit
+        for rows, half in zip(self.rows, self.halves):
+            for _ in range(len(rows), min(size, len(half)) + 1):
+                grown = []
+                for subset, a, d, nxt in rows[-1]:
+                    for pos in range(nxt, len(half)):
+                        i = half[pos]
+                        e = d + degs[i]
+                        if e > limit:
+                            break  # the half is sorted by degree
+                        grown.append((subset + (i,), a * consts[i] % m, e, pos + 1))
+                rows.append(grown)
+
+    def _keys(self, k: int) -> list[tuple[int, list[int]]]:
+        """For each low row of k elements, its w and the residues mod
+        M / p^w of the high products that complete it to a pass."""
+        p, m = self.p, self.modulus
+        if not self.keys:
+            divs = [1]
+            for q, e in self.factors:
+                divs = [d * q**i for d in divs for i in range(e + 1)]
+            self.values = divs + [-d for d in divs]
+        while len(self.keys) <= k:
+            keyed = []
+            for _, b, _, _ in self.rows[0][len(self.keys)]:
+                w = 0
+                while b and b % p == 0:
+                    b //= p
+                    w += 1
+                q = p**w
+                inv = pow(b, -1, m // q)
+                keyed.append((w, [v // q * inv % (m // q) for v in self.values
+                                  if v % q == 0 and v // q % p]))
+            self.keys.append(keyed)
+        return self.keys[k]
+
+    def _high(self, k: int, w: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """The high rows of k elements by residue mod M / p^w."""
+        if (k, w) not in self.index:
+            mw = self.modulus // self.p**w
+            index: dict[int, list] = {}
+            for subset, a, d, _ in self.rows[1][k]:
+                index.setdefault(a % mw, []).append((subset, d))
+            self.index[k, w] = index
+        return self.index[k, w]
+
+    def _matches(self, size: int) -> list[tuple[int, ...]]:
+        out = []
+        self._grow(size)
+        low, high = self.rows
+        m, limit, target = self.modulus, self.limit, self.target
+        for j in range(max(0, size - len(low) + 1), min(size, len(high) - 1) + 1):
+            lows, highs = low[size - j], high[j]
+            # one test per pair, or per low row a lookup per value after one
+            # index entry per high row, whichever is less work
+            if (self.count is None
+                    or len(lows) * len(highs) <= len(lows) * self.count + len(highs)):
+                for tl, b, dl, _ in lows:
+                    for th, a, dh, _ in highs:
+                        tc = b * a % m
+                        if tc > m // 2:
+                            tc -= m
+                        if dl + dh <= limit and tc and target % tc == 0:
+                            out.append(tl + th)
+                continue
+            for (tl, _, dl, _), (w, keys) in zip(lows, self._keys(size - j)):
+                index = self._high(j, w)
+                for key in keys:
+                    for th, dh in index.get(key, ()):
+                        if dl + dh <= limit:
+                            out.append(tl + th)
+        out.sort()
+        return out
 
 
 def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with positive leading
     coefficient and nonzero constant term.
 
-    One loop lifts and recombines (see the module docstring).  A factor
-    found restarts the stream on what remains, at the same size.  The stream
-    runs by size, and every proper sub-subset of a subset comes before it
-    with no larger bound, so a divisor found is irreducible and a covered
-    subset that does not divide is no factor; an empty stream leaves what
-    remains irreducible."""
+    One loop lifts and recombines (see the module docstring).  A lift
+    resumes the walk at the subset that asked for it, and a factor found
+    restarts it on what remains, at the same size.  The walk runs by size,
+    and every proper sub-subset of a subset comes before it with no larger
+    bound, so a divisor found is irreducible and a covered subset that does
+    not divide is no factor; a walk that ends leaves what remains
+    irreducible."""
     if _deg(f) == 1:
         return [list(f)]
     p = _choose_prime(f)
@@ -626,20 +763,22 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
 
     stop = 2 * abs(f[-1] * f[0])
     tree = _FactorTree(f, modular, p)
+    while tree.modulus <= stop:
+        tree.lift()
     degs = [_deg(c) for c in modular]
     remaining = list(range(len(modular)))
-    candidates = _subsets(remaining, degs, _deg(f) // 2, 1)
     out: list[list[int]] = []
     current = list(f)
+    factors = _factor_small(f[-1] * f[0])
+    size, start = 1, ()
     while True:
-        if tree.modulus <= stop:
-            tree.lift()
-            continue
         modulus = tree.modulus
         lifted = tree.factors()
-        for subset in _passing(candidates, lifted, current, modulus):
+        walk = _Recombination(remaining, degs, [c[0] for c in lifted], current, factors,
+                              p, modulus)
+        for subset in walk.passing(size, start):
             if modulus <= 2 * _mignotte_bound(f, sum(degs[i] for i in subset)):
-                candidates = chain((subset,), candidates)
+                size, start = len(subset), subset
                 tree.lift()
                 break
             cand = [current[-1]]
@@ -651,8 +790,9 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
             if q is not None and not r:
                 out.append(cand)
                 current = q
+                factors = _factor_small(current[-1] * current[0])
                 remaining = [i for i in remaining if i not in subset]
-                candidates = _subsets(remaining, degs, _deg(current) // 2, len(subset))
+                size, start = len(subset), ()
                 break
         else:
             return out + [current]

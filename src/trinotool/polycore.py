@@ -166,9 +166,6 @@ class TrinomialSpec:
     def degree(self) -> int:
         return self.n
 
-    def is_coprime(self) -> bool:
-        return self.gcd_mn == 1
-
 
 _SIGNS = {"R": (-1, 1), "S": (1, -1), "T": (-1, -1)}  # (middle, constant) signs
 _FAMILY_OF = {signs: family for family, signs in _SIGNS.items()}
@@ -326,10 +323,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial.of(k * c for k, c in enumerate(self.coeffs) if k > 0) \
-            if len(self.coeffs) > 1 else IntPolynomial(())
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(tuple(dense_mul(self.coeffs, other.coeffs)))

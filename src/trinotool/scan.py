@@ -258,16 +258,34 @@ def record_to_dict(rec: ScanRecord, include_elapsed: bool = True) -> dict:
 
 
 def record_from_dict(d: dict) -> ScanRecord:
-    return ScanRecord(
-        n=int(d["n"]), m=int(d["m"]), a=int(d["a"]), b=int(d["b"]),
-        reducible=bool(d["reducible"]),
-        factor_degrees=tuple(int(x) for x in d["factor_degrees"]),
-        certificate=str(d["certificate"]),
-        measure=d.get("measure"),
-        house=d.get("house"),
-        elapsed=float(d.get("elapsed", 0.0)),
-        error=d.get("error"),
-    )
+    """The record of one cache line, with every field of the JSON type that
+    record_to_dict writes, else ValueError: a field of another type would
+    read as another record (``bool("false")`` is True, and ``"35"`` would
+    be the factor degrees (3, 5)).  n, m, a and b are integers with
+    0 < m < n.  An errored cell has certificate "error", no factor degrees
+    and an error message; any other cell has a known certificate and
+    positive factor degrees summing to n, two or more iff it is reducible.
+    measure and house are floats or null."""
+    n, m, a, b = d["n"], d["m"], d["a"], d["b"]
+    reducible, degrees, certificate = d["reducible"], d["factor_degrees"], d["certificate"]
+    measure, house, error = d.get("measure"), d.get("house"), d.get("error")
+    elapsed = d.get("elapsed", 0.0)
+    valid = (type(n) is type(m) is type(a) is type(b) is int and 0 < m < n
+             and type(reducible) is bool and type(degrees) is list
+             and all(type(x) is int and x > 0 for x in degrees)
+             and (measure is None or type(measure) is float)
+             and (house is None or type(house) is float)
+             and type(elapsed) in (int, float))
+    if valid and certificate == "error":
+        valid = not reducible and not degrees and type(error) is str
+    elif valid:
+        valid = (certificate in factor.CERTIFICATES and error is None
+                 and sum(degrees) == n and reducible == (len(degrees) >= 2))
+    if not valid:
+        raise ValueError(f"not a scan record: {d}")
+    return ScanRecord(n=n, m=m, a=a, b=b, reducible=reducible,
+                      factor_degrees=tuple(degrees), certificate=certificate,
+                      measure=measure, house=house, elapsed=float(elapsed), error=error)
 
 
 def _load_cache(path: str) -> dict[tuple[int, int, int, int], ScanRecord]:

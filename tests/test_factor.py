@@ -1,5 +1,6 @@
 import random
-from math import isqrt, prod
+from itertools import chain, combinations
+from math import factorial, isqrt, prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from trinotool.factor import (
     _gf_gcd,
     _gf_is_squarefree,
     _gf_pow_mod,
+    _is_prime,
     _mignotte_bound,
     _mod,
     _mod_divmod,
@@ -368,6 +370,13 @@ def test_is_irreducible_examples():
     assert is_irreducible(tri(5, 2, 9, 1)).factorization is None
 
 
+def test_every_certificate_is_listed():
+    # scan's cache reader accepts exactly these names
+    cells = [(3, 1, -30, -1), (4, 2, -30, -1), (3, 1, -1, -1), (3, 1, -2, -1)]
+    certificates = tuple(is_irreducible(tri(*cell)).certificate for cell in cells)
+    assert certificates == factor.CERTIFICATES
+
+
 def test_is_irreducible_huge_coefficients():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -699,6 +708,105 @@ def test_factor_set_lift_levels(monkeypatch, terms, levels):
         assert levels < _full_levels(f, _choose_prime(f))
 
 
+# -------------------------------------------------------- recombination
+
+def _subsets(remaining, degs, limit, size):
+    """The reference walk's stream: the subsets of remaining of at least
+    size elements whose degrees sum to at most limit, by size and then in
+    combinations order.  remaining is sorted by degree, so remaining[:s] is
+    the lightest subset of size s."""
+    while size <= len(remaining) and sum(degs[i] for i in remaining[:size]) <= limit:
+        for subset in combinations(remaining, size):
+            if sum(map(degs.__getitem__, subset)) <= limit:
+                yield subset
+        size += 1
+
+
+def _passing(subsets, lifted, f, modulus):
+    """The reference walk's test, one subset at a time: the constant term of
+    lc(f) prod(lifted[subset]), taken as a symmetric residue mod modulus,
+    divides lc(f) f(0)."""
+    lc = f[-1]
+    target = lc * f[0]
+    half = modulus // 2
+    consts = [c[0] for c in lifted]
+    for subset in subsets:
+        tc = lc * prod(map(consts.__getitem__, subset)) % modulus
+        if tc > half:
+            tc -= modulus
+        if tc and target % tc == 0:
+            yield subset
+
+
+def test_factor_small_by_trial_division(rng):
+    for x in [720720, -65536] + [rng.choice([1, -1]) * rng.randint(1, 10**4) for _ in range(200)]:
+        factors = factor._factor_small(x)
+        assert prod(q**e for q, e in factors) == abs(x)
+        assert [q for q, _ in factors] == sorted(q for q, _ in factors)
+        assert all(_is_prime(q) and e >= 1 for q, e in factors)
+    # a cofactor below (2^16)^2 with no factor up to 2^16 is prime
+    assert factor._factor_small(4294967291) == [(4294967291, 1)]
+    assert factor._factor_small(6 * 65537) == [(2, 1), (3, 1), (65537, 1)]
+    # 30! has 2 332 800 divisors; they are counted, not listed
+    assert factor._factor_small(factorial(30))[:3] == [(2, 26), (3, 14), (5, 7)]
+    # a cofactor above it may not be prime: the factorization is unknown
+    assert factor._factor_small(65537 * 65539) is None
+    assert factor._factor_small(2 * 65537 * 65539) is None
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_recombination_matches_the_reference_walk(rng, p):
+    # random constants mod M = p^k > 2 |lc f(0)|, degrees sorted as the
+    # modular factors are, targets with many divisors or with none listed,
+    # and in half the draws a non-unit constant p^e u first, as x mod p is.
+    # Every size's matches equal the reference walk's passing subsets, in
+    # its order, from any resume point
+    targets = [1, 2, 12, 720, 2520, 27720, 65537 * 65539]
+    matched = 0
+    for _ in range(150):
+        r = rng.randint(1, 12)
+        degs = sorted(rng.randint(1, 6) for _ in range(r))
+        remaining = sorted(rng.sample(range(r), rng.randint(1, r)))
+        limit = rng.randint(1, sum(degs))
+        lc = rng.choice([d for d in (1, 2, 3, 4, 6) if d % p])
+        target = rng.choice(targets)
+        while target % p == 0:
+            target //= p
+        target *= lc * rng.choice([-1, 1])
+        nonunit = rng.random() < 0.5
+        if nonunit:
+            target *= p ** rng.randint(1, 2)
+        k = 1
+        while p**k <= 2 * abs(target):
+            k += 1
+        modulus = p ** (k + rng.randint(0, 2))
+        consts = [rng.randrange(1, modulus) for _ in range(r)]
+        consts = [c if c % p else c + 1 for c in consts]
+        if nonunit:
+            e = rng.randint(1, k - 1)
+            consts[remaining[0]] = p**e * rng.choice([u for u in range(1, p * p) if u % p])
+        # plant a subset of units within the degree limit that passes
+        planted = []
+        for i in rng.sample(remaining, len(remaining)):
+            if consts[i] % p and sum(degs[j] for j in planted) + degs[i] <= limit:
+                planted.append(i)
+        if planted:
+            rest = lc * prod(consts[i] for i in planted[1:]) % modulus
+            v = rng.choice([-1, 1]) * rng.choice([d for d in range(1, 100) if target % d == 0])
+            consts[planted[0]] = v * pow(rest, -1, modulus) % modulus
+        f = [target // lc] + [0] * (2 * limit - 1) + [lc]
+        lifted = [[c, 1] for c in consts]
+        want = list(_passing(_subsets(remaining, degs, limit, 1), lifted, f, modulus))
+        factors = factor._factor_small(target)
+        walk = factor._Recombination(remaining, degs, consts, f, factors, p, modulus)
+        assert list(walk.passing(1)) == want, (remaining, degs, consts, target, modulus)
+        for start in rng.sample(want, min(3, len(want))):
+            resumed = factor._Recombination(remaining, degs, consts, f, factors, p, modulus)
+            assert list(resumed.passing(len(start), start)) == want[want.index(start):]
+        matched += bool(want)
+    assert matched > 100
+
+
 def test_lift_continues_while_a_subset_passes(monkeypatch):
     # f = g h with g = x^2 + 1, two linears mod 5, and h = x^3 - 6x - 2,
     # irreducible mod 5; 5 already exceeds 2 |lc(f) f(0)| = 4.  One linear
@@ -710,8 +818,10 @@ def test_lift_continues_while_a_subset_passes(monkeypatch):
     assert _choose_prime(f) == 5
     modular = _gf_factors(f, 5)
     assert [len(c) - 1 for c in modular] == [1, 1, 3]
-    stream = factor._subsets([0, 1, 2], [1, 1, 3], 2, 1)
-    assert next(factor._passing(stream, modular, f, 5)) == (0,)
+    assert next(_passing(_subsets([0, 1, 2], [1, 1, 3], 2, 1), modular, f, 5)) == (0,)
+    walk = factor._Recombination([0, 1, 2], [1, 1, 3], [c[0] for c in modular], f,
+                                 factor._factor_small(f[-1] * f[0]), 5, 5)
+    assert next(walk.passing(1)) == (0,)
     levels = _lift_levels(monkeypatch)
     assert sorted(factor._zassenhaus_squarefree(f)) == sorted([g, h])
     assert len(levels) == _full_levels(f, 5) >= 2
@@ -719,25 +829,41 @@ def test_lift_continues_while_a_subset_passes(monkeypatch):
 
 def test_irreducible_input_stops_before_the_full_lift(monkeypatch):
     # x^71 - 5x^40 - 1 (the benchmark's 15 factors mod 5) is irreducible; no
-    # subset passes at some level below the bound, and none is tested twice
-    # beyond the one subset carried from each level to the next
+    # subset passes at some level below the bound, and none is yielded twice
+    # beyond the one subset carried from each level to the next.  The
+    # reference walk tests over a thousand subsets one by one; the matched
+    # walk yields only the few that pass, and builds each half's table rows
+    # at most once per level
     f = list(_sparse({71: 1, 40: -5, 0: -1}).coeffs)
     p = _choose_prime(f)
     modular = _gf_factors(f, p)
     degs = [len(c) - 1 for c in modular]
-    stream_length = sum(1 for _ in factor._subsets(list(range(len(modular))), degs, 35, 1))
+    stream_length = sum(1 for _ in _subsets(list(range(len(modular))), degs, 35, 1))
     levels = _lift_levels(monkeypatch)
-    products = []
+    yielded = []
+    passing = factor._Recombination.passing
 
-    def counting_prod(xs):
-        products.append(None)
-        return prod(xs)
+    def recording(walk, size, start=()):
+        for subset in passing(walk, size, start):
+            yielded.append(subset)
+            yield subset
 
-    monkeypatch.setattr(factor, "prod", counting_prod)
+    rows = []
+    grow = factor._Recombination._grow
+
+    def counting(walk, size):
+        before = sum(map(len, chain(*walk.rows)))
+        grow(walk, size)
+        rows.append(sum(map(len, chain(*walk.rows))) - before)
+
+    monkeypatch.setattr(factor._Recombination, "passing", recording)
+    monkeypatch.setattr(factor._Recombination, "_grow", counting)
     assert factor._zassenhaus_squarefree(f) == [f]
     assert len(modular) == 15 and stream_length > 1000
     assert 1 <= len(levels) < _full_levels(f, p)
-    assert len(products) <= stream_length + len(levels) + 1
+    assert len(yielded) <= len(set(yielded)) + len(levels)
+    assert len(yielded) < stream_length // 100
+    assert sum(rows) <= (len(levels) + 1) * (2**8 + 2**7) < stream_length
 
 
 @pytest.mark.parametrize("g, h", [
@@ -753,10 +879,40 @@ def test_early_stop_waits_for_the_modulus_to_pass_the_constant(g, h):
     assert p == 5 and 5 < 2 * abs(f[-1] * f[0])
     modular = _gf_factors(f, p)
     assert [len(c) - 1 for c in modular] == [1, 2]
-    assert list(factor._passing([(0,)], modular, f, p)) == []
+    assert list(_passing([(0,)], modular, f, p)) == []
     assert sorted(factor._zassenhaus_squarefree(f)) == sorted([g, h])
     result = factorize(IntPolynomial(tuple(f)))
     assert [c.coeffs for c, _ in result.factors] == [tuple(g), tuple(h)]
+
+
+_PRIMORIAL_97 = prod(q for q in range(2, 98) if _is_prime(q))
+
+
+@pytest.mark.parametrize("terms, p, r", [
+    # irreducible with 22 factors mod 5: 2.28 M subsets for the reference walk
+    ({62: 1, 37: -5, 0: -1}, 5, 22),
+    # p = 5 divides f(0): x mod 5 is a modular factor with a non-unit constant
+    ({27: 1, 1: -3, 0: 5}, 5, 8),
+    # (x^6 - 1)(x^6 - b), b = 65537 * 65539: the divisors of b are not known
+    # and every pair of the tables takes the direct test
+    ({12: 1, 6: -(65537 * 65539 + 1), 0: 65537 * 65539}, 5, 7),
+    # (x^12 - 1)(x^12 - b), b = 30! with 2 332 800 divisors and
+    # b = 2 3 5 ... 97 with 2^25: far more than the tables have rows, so
+    # every pair takes the direct test and the divisors are never listed
+    ({24: 1, 12: -(factorial(30) + 1), 0: factorial(30)}, 31, 15),
+    ({24: 1, 12: -(_PRIMORIAL_97 + 1), 0: _PRIMORIAL_97}, 101, 11),
+])
+def test_recombination_cases_against_sympy(monkeypatch, terms, p, r):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = _sparse(terms)
+    f = list(poly.coeffs)
+    assert _choose_prime(f) == p and len(_gf_factors(f, p)) == r
+    if abs(f[0]) > 2**32:
+        monkeypatch.setattr(factor._Recombination, "_keys", None)
+    result = factorize(poly)
+    mine = (result.content, [(c.coeffs, mult) for c, mult in result.factors])
+    assert mine == _sympy_factorization(sympy, x, poly)
 
 
 def _random_irreducible(rng, d, p):

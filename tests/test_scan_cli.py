@@ -374,6 +374,36 @@ def test_scan_cache_skips_json_that_is_not_a_record(tmp_path, capsys):
     assert record_from_dict(json.loads(last)).key == tuple(broken[k] for k in "nmab")
 
 
+@pytest.mark.parametrize("cell, edit", [
+    # bool("false") is True: the irreducible cell would be a reducible hit
+    ((9, 2, 3, 1), {"reducible": "false"}),
+    # "35" would read as the factor degrees (3, 5) of a reducible hit
+    ((9, 2, 3, 1), {"reducible": True, "factor_degrees": "35"}),
+    # 8.5 would read as 8, and this irreducible record would then replace
+    # the one of the reducible cell (8, 5, 3, -1)
+    ((9, 5, 3, -1), {"n": 8.5}),
+])
+def test_scan_cache_recomputes_fields_of_the_wrong_type(tmp_path, cell, edit):
+    argv = ("scan", "--n-max", "9", "--a", "-3,3", "--format", "json")
+    cache = tmp_path / "cache.jsonl"
+    rc, fresh = run_cli(tmp_path, *argv)
+    assert rc == 0 and len(fresh.splitlines()) == 4
+    assert run_cli(tmp_path, *argv, "--cache", str(cache)) == (0, fresh)
+    lines = cache.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if tuple(json.loads(line)[k] for k in "nmab") == cell)
+    edited = {**json.loads(lines.pop(i)), **edit}
+    with pytest.raises(ValueError, match="not a scan record"):
+        record_from_dict(edited)
+    # last, so that a line read as a record would override the real one
+    cache.write_text("\n".join([*lines, json.dumps(edited)]) + "\n")
+    assert run_cli(tmp_path, *argv, "--cache", str(cache)) == (0, fresh)
+    # the edited cell, and no other, is recomputed and appended
+    *_, last = cache.read_text().splitlines()
+    assert record_from_dict(json.loads(last)).key == cell
+    assert len(cache.read_text().splitlines()) == len(lines) + 2
+
+
 # -------------------------------------------------------- convergence
 
 def test_convergence_gaps_shrink_for_dominant_a():
