@@ -3,8 +3,8 @@
 Output goes to stdout (or --out FILE) as JSON, CSV or text; diagnostics go to
 stderr, which in json mode holds one JSON object: the error of a failing
 command, or scan's summary {"scan": {...}}.  Every subcommand takes --format
-and --out; --tolerance exists only on measure, limit and series, the commands
-whose quadrature or series reads it.  Each command returns its records and
+and --out; --tolerance exists only on measure and series, the commands whose
+quadrature or series reads it.  Each command returns its records and
 cli_dispatch renders them: single-shot commands as an envelope
 {tool_version, config, records} in JSON mode, scans as one JSON object per
 line so they stream and diff cleanly.
@@ -229,7 +229,7 @@ def _cmd_irreducible(args, envelope) -> list[dict]:
 
 def _cmd_limit(args, envelope) -> list[dict]:
     case = mahler.limit_case(args.a, args.b)
-    result = mahler.limit_measure(args.a, args.b, **_tol(args))
+    result = mahler.limit_measure(args.a, args.b)
     return [{
         "case": case.case.value,
         "gamma": case.gamma,
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("irreducible", _cmd_irreducible, help="irreducibility verdict with certificate")
     spec_args(p, int)
 
-    p = add("limit", _cmd_limit, tolerance,
+    p = add("limit", _cmd_limit,
             help="large-n limit of the measure for fixed (a, b)")
     for arg in ("a", "b"):
         p.add_argument(arg, type=_num)

@@ -565,7 +565,9 @@ def _mignotte_bound(f: list[int], d: int) -> int:
     inequality |g_j| <= binom(d, j) |lc(g) / lc(f)| ||f||_2, and binom(d, j)
     <= binom(d, d // 2) (Beauzamy, Trevisan and Wang, JSC 15, 1993); the
     factor |lc(f)| is a margin.  The bound grows with d, so a modulus that
-    covers a subset of modular factors covers every subset of it."""
+    covers a subset of modular factors covers every subset of it.  It is
+    binom(d, d // 2) times its value at d = 0, which holds all of its
+    dependence on f."""
     l2 = isqrt(sum(c * c for c in f)) + 1
     return comb(d, d // 2) * l2 * abs(f[-1])
 
@@ -770,6 +772,7 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
     out: list[list[int]] = []
     current = list(f)
     factors = _factor_small(f[-1] * f[0])
+    unit_bound = 2 * _mignotte_bound(f, 0)
     size, start = 1, ()
     while True:
         modulus = tree.modulus
@@ -777,7 +780,8 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
         walk = _Recombination(remaining, degs, [c[0] for c in lifted], current, factors,
                               p, modulus)
         for subset in walk.passing(size, start):
-            if modulus <= 2 * _mignotte_bound(f, sum(degs[i] for i in subset)):
+            d = sum(degs[i] for i in subset)
+            if modulus <= comb(d, d // 2) * unit_bound:
                 size, start = len(subset), subset
                 tree.lift()
                 break

@@ -1,5 +1,6 @@
-"""Mahler measure of trinomials by three routes, limit regimes, and the exact
-coefficient series with its contour-integral oracle.
+"""Mahler measure of trinomials by three routes, the large-n limit in closed
+form for every regime, and the exact coefficient series with its
+contour-integral oracle.
 
 The measure of P = a0 * prod (z - alpha_j) is M(P) = |a0| * prod max(1, |alpha_j|),
 equivalently exp of the mean of log|P| over the unit circle (Jensen).  For
@@ -15,16 +16,17 @@ sides so they can be cross-checked numerically.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, lgamma
+from math import comb, factorial, gcd, lgamma
 from typing import Union
 
 from . import polycore
 from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
 from .polycore import IntPolynomial, RootSet, TrinomialSpec, np, require_float
-from .quadrature import DEFAULT_TOL, QuadResult, integrate
+from .quadrature import DEFAULT_TOL, integrate
 
 _EPS = math.ulp(1.0)
 
@@ -64,7 +66,14 @@ class LimitRegime(Enum):
 
 @dataclass(frozen=True)
 class LimitCase:
-    """Which large-n regime (a, b) falls in; gamma is set only when oscillatory."""
+    """Which large-n regime (a, b) falls in.
+
+    gamma is set only when oscillatory, that is when 1, |a| and |b| form a
+    triangle.  It is pi - alpha, the sum of the angles opposite |a| and |b|,
+    where alpha is the angle opposite the side 1: the upper limit of the
+    integral (1/2pi) integral_0^gamma log(|a|^2 + 2|ab| cos t + |b|^2) dt,
+    which equals log M.  At (1, 1) every angle is pi/3 and gamma is 2pi/3.
+    """
 
     case: LimitRegime
     gamma: float | None = None
@@ -128,13 +137,6 @@ def _circle_modulus(spec: TrinomialSpec, t):
     return np.abs(np.exp(1j * spec.n * t) + spec.a * np.exp(1j * spec.m * t) + spec.b)
 
 
-def _jensen_result(res: QuadResult, spread: float = 0.0) -> MeasureResult:
-    """M from a quadrature of log|P| over the unit circle: exp(integral / 2pi),
-    with the integral's error estimate widened by spread."""
-    return _from_log(res.value / (2 * math.pi), (res.error + spread) / (2 * math.pi),
-                     "jensen", res.panels)
-
-
 def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
     """Uniform angles plus the 2n angles t = (arg b +- acos c + 2 pi k) / n where
     |e^int + b| = |a|, c = (|a|^2 - 1 - |b|^2) / (2|b|) clamped to [-1, 1].
@@ -183,7 +185,9 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
 
     coarse = integrate(integrand, 0.0, 2 * math.pi, tol, breakpoints=bps)
     fine = integrate(integrand, 0.0, 2 * math.pi, tol / 10, start=coarse)
-    return _jensen_result(fine, abs(fine.value - coarse.value))
+    return _from_log(fine.value / (2 * math.pi),
+                     (fine.error + abs(fine.value - coarse.value)) / (2 * math.pi),
+                     "jensen", fine.panels)
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:
@@ -203,29 +207,113 @@ def limit_case(a: complex, b: complex) -> LimitCase:
     return LimitCase(LimitRegime.OSCILLATORY, gamma=gamma)
 
 
-def limit_measure(a: complex, b: complex, tol: float = DEFAULT_TOL) -> MeasureResult:
-    """Large-n limit of M(z^n + a z^m + b) per regime.
+@functools.cache
+def _clausen_coefficients() -> tuple[float, ...]:
+    """c_k = |B_2k| / (2k (2k+1)!) for k = 1..30, the coefficients of the
+    Clausen series, from the exact Bernoulli numbers: sum_{j<=m} C(m+1, j)
+    B_j = 0 for m >= 1, where B_j = 0 at odd j >= 3.  Built on first use, with
+    fractions imported here: start-up pays for neither."""
+    from fractions import Fraction
 
-    Dominant-a: |a| (limit).  Dominant-b: |b|, exact for every n.  Sub-unit: 1,
-    exact.  Oscillatory: exp((1/2pi) integral_0^gamma log(|a|^2 + 2|ab| cos t
-    + |b|^2) dt) by adaptive quadrature.
+    bernoulli = {0: Fraction(1), 1: Fraction(-1, 2)}
+    for m in range(2, 61, 2):
+        bernoulli[m] = -sum(comb(m + 1, j) * b for j, b in bernoulli.items()) / (m + 1)
+    return tuple(float(abs(bernoulli[2 * k]) / (2 * k * factorial(2 * k + 1)))
+                 for k in range(1, 31))
+
+
+def _lobachevsky(theta: float) -> tuple[float, float]:
+    """Lobachevsky's function L(theta) = -integral_0^theta log|2 sin t| dt =
+    Cl2(2 theta) / 2 for 0 < theta <= pi/2, with a bound on its absolute error.
+
+    Cl2(phi) = phi - phi log phi + sum_k c_k phi^(2k+1) (Lewin, Polylogarithms
+    and Associated Functions, 1981).  As |B_2k| = 2 (2k)! zeta(2k) / (2 pi)^(2k),
+    the ratio of successive terms is (phi / 2pi)^2 (zeta(2k+2) / zeta(2k))
+    2k (2k+1) / ((2k+2) (2k+3)) < 1/4 for phi = 2 theta <= pi, so the tail after
+    the last term t_K is below t_K / 3.  The sum stops at the first term below
+    2^-60, a test on the term alone: Cl2(pi) = 0, so a relative test would not
+    stop there.  Rounding, with every operation and log within eps relative:
+    term k is 2k + 2 roundings from exact, which over the terms' decay sums to
+    below 7 eps S for S the series part; phi log phi is within 2 eps of exact,
+    and fsum adds eps |Cl2|.
+    """
+    phi = 2.0 * theta
+    phi2 = phi * phi
+    power = phi
+    terms = []
+    for c in _clausen_coefficients():
+        power *= phi2
+        terms.append(c * power)
+        if terms[-1] < 2.0 ** -60:
+            break
+    main = phi * math.log(phi)
+    cl2 = math.fsum([phi, -main, *terms])
+    error = _EPS * (abs(cl2) + 2 * abs(main) + 7 * math.fsum(terms)) + terms[-1] / 3
+    return cl2 / 2, error / 2
+
+
+def limit_measure(a: complex, b: complex) -> MeasureResult:
+    """Large-n limit of M(z^n + a z^m + b), in closed form for every regime.
+
+    By Boyd and Lawton the limit is the measure of the linear form x + a y + b.
+    When 1, |a| and |b| form no triangle (every regime but the oscillatory one)
+    that is the largest of them, exactly.  On a triangle with angle theta_s
+    opposite the side s, Cassaigne and Maillot (Maillot, Mem. Soc. Math. Fr. 80,
+    2000) give pi log M = sum_s theta_s log s + sum_s L(theta_s), L as in
+    _lobachevsky.  The angles sum to pi, so with x the largest side
+    M = x exp(C / pi), C = sum_s theta_s log(s / x) + sum_s L(theta_s): C stays
+    of order 1 however large x is.
+
+    Angles: sort the sides x >= y >= z.  Then y > x / 2, so x - y is exact, and
+    p = x + (y + z), q = z - (x - y), r = z + (x - y), t = x + (y - z) are
+    2s, 2(s - x), 2(s - y), 2(s - z) for s the half perimeter, each within
+    2 eps relative (Kahan's needle-safe factors).  The half-angle tangents are
+    sqrt(rt / pq), sqrt(qt / pr) and sqrt(qr / pt), taken as products of two
+    square roots of ratios so that nothing overflows.  With every operation,
+    log and atan within eps relative, each angle is within 8 eps relative,
+    also in a needle; a law-of-cosines angle is not, where two long sides
+    are close.  L(theta) for theta > pi/2 is -L(pi - theta), and only the
+    largest angle can exceed pi/2: its supplement is summed from the other two,
+    within 9 eps, not taken from pi.
+
+    Error of C, first order in eps:
+    - each angle enters theta log(s / x) with 8 eps, and log(s / x) is within
+      eps + eps |log(s / x)|, which with the product gives
+      eps (10 theta |log(s / x)| + theta);
+    - each argument of L is within 9 eps relative, and
+      |theta L'(theta)| = theta |log(2 sin theta)| <= (pi/2) log 2 < 1.1 on
+      (0, pi/2]: 10 eps for each of the three;
+    - the three L values carry _lobachevsky's bounds, and fsum adds eps |C|.
+    Dividing by pi adds 2 eps |C| / pi, and |a| and |b| are each within eps
+    of the true moduli, which moves log M by at most eps (d log M / d log s =
+    theta_s / pi).  _from_log's floor covers exp and the product by x.
     """
     case = limit_case(a, b)
-    ra, rb = float(abs(a)), float(abs(b))
-    if case.case is LimitRegime.DOMINANT_A:
-        return MeasureResult(ra, math.log(ra), "closed-form", 0.0)
-    if case.case is LimitRegime.DOMINANT_B:
-        return MeasureResult(rb, math.log(rb), "closed-form", 0.0)
-    if case.case is LimitRegime.SUB_UNIT:
-        return MeasureResult(1.0, 0.0, "closed-form", 0.0)
+    x, y, z = sorted((1.0, float(abs(a)), float(abs(b))), reverse=True)
+    if case.case is not LimitRegime.OSCILLATORY:
+        return MeasureResult(x, math.log(x), "closed-form", 0.0)
 
-    c2 = ra * ra + rb * rb
-    c1 = 2.0 * ra * rb
+    p, q, r, t = x + (y + z), z - (x - y), z + (x - y), x + (y - z)
 
-    def integrand(t):
-        return np.log(np.maximum(c2 + c1 * np.cos(t), 1e-300))
+    def angle(n1, d1, n2, d2):
+        return 2.0 * math.atan(math.sqrt(n1 / d1) * math.sqrt(n2 / d2))
 
-    return _jensen_result(integrate(integrand, 0.0, case.gamma, tol))
+    big, mid, small = angle(r, q, t, p), angle(q, r, t, p), angle(q, p, r, t)
+    lob_mid, err_mid = _lobachevsky(mid)
+    lob_small, err_small = _lobachevsky(small)
+    if big <= math.pi / 2:
+        lob_big, err_big = _lobachevsky(big)
+    else:
+        lob_big, err_big = _lobachevsky(mid + small)
+        lob_big = -lob_big
+    log_y, log_z = math.log(y / x), math.log(z / x)
+    c = math.fsum([mid * log_y, small * log_z, lob_big, lob_mid, lob_small])
+    err = (_EPS * (abs(c) + 10 * (mid * abs(log_y) + small * abs(log_z)) + mid + small + 30)
+           + err_big + err_mid + err_small)
+    scaled = _from_log(c / math.pi, (err + 2 * _EPS * abs(c)) / math.pi + _EPS,
+                       "closed-form", 0)
+    return MeasureResult(x * scaled.value, math.log(x) + scaled.log_value, scaled.method,
+                         x * scaled.error_bound)
 
 
 def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:

@@ -418,7 +418,7 @@ def test_config_parameters_only_where_callers_set_them():
             assert "config" not in params, name
             if "tol" in params:
                 with_tol.add(fn)
-    assert with_tol == {quadrature.integrate, measure_jensen, limit_measure, series_measure}
+    assert with_tol == {quadrature.integrate, measure_jensen, series_measure}
 
 
 # -------------------------------------------------------- global invariants

@@ -119,22 +119,58 @@ def test_boundary_series_bound_misses_fixed(spec):
     check_routes(*spec)
 
 
-@_SETTINGS
-@hypothesis.given(st.complex_numbers(min_magnitude=0.05, max_magnitude=4.0),
-                  st.complex_numbers(min_magnitude=0.05, max_magnitude=4.0))
-def test_limit_within_bound(a, b):
+_UNIT = st.one_of(st.sampled_from([1.0, -1.0]),
+                  st.floats(0.0, 2 * math.pi).map(lambda t: cmath.exp(1j * t)))
+_GAP = st.builds(lambda e, f: f * 10.0**e, st.integers(-15, -3), st.floats(1.0, 10.0))
+
+
+@st.composite
+def limit_pairs(draw):
+    """(a, b) over the plane; at the three edges of the triangle 1, |a|, |b|
+    (|a| - |b| -> 1, |b| - |a| -> 1 and |a| + |b| -> 1, by gaps of 1e-15 to
+    1e-2); and with |a| ~ |b| up to 1e6.  Edge and long draws take a sign or
+    a phase each, so a and b are complex too."""
+    kind = draw(st.sampled_from(["plane", "edge", "long"]))
+    if kind == "plane":
+        return tuple(draw(st.complex_numbers(min_magnitude=0.05, max_magnitude=4.0))
+                     for _ in "ab")
+    if kind == "edge":
+        side, gap, edge = draw(st.floats(0.05, 4.0)), draw(_GAP), draw(st.integers(0, 2))
+        ra, rb = [(side + 1 - gap, side), (side, side + 1 - gap),
+                  (side / 4.2, 1 - side / 4.2 + gap)][edge]
+    else:
+        ra = 10.0 ** draw(st.floats(0.0, 6.0))
+        rb = ra + draw(st.floats(-0.999, 0.999))
+    return ra * draw(_UNIT), rb * draw(_UNIT)
+
+
+@hypothesis.settings(_SETTINGS, max_examples=120)
+@hypothesis.given(limit_pairs())
+def test_limit_within_bound(pair):
+    a, b = pair
     case = limit_case(a, b)
     r = limit_measure(a, b)
+    assert r.method == "closed-form"
     if case.gamma is None:
-        assert r.error_bound == 0.0
+        assert (r.value, r.error_bound) == (max(1.0, abs(a), abs(b)), 0.0)
         return
     with mpmath.workdps(DPS):
         ra, rb = mpmath.mpf(abs(a)), mpmath.mpf(abs(b))
         gamma = mpmath.acos((1 - ra**2 - rb**2) / (2 * ra * rb))
         val = mpmath.quad(lambda t: mpmath.log(ra**2 + 2 * ra * rb * mpmath.cos(t) + rb**2),
                           [0, gamma])
-        true = float(mpmath.exp(val / (2 * mpmath.pi)))
-    assert abs(r.value - true) <= r.error_bound
+        miss = abs(mpmath.exp(val / (2 * mpmath.pi)) - r.value)
+    assert miss <= r.error_bound <= 1e-14 * r.value
+
+
+def test_limit_at_one_one_is_smyths_constant():
+    # m(1 + x + y) = (3 sqrt 3 / 4 pi) L(chi_-3, 2) (Smyth, Bull. Austral. Math.
+    # Soc. 23 (1981)), with L(chi_-3, 2) = (zeta(2, 1/3) - zeta(2, 2/3)) / 9
+    r = limit_measure(1, 1)
+    with mpmath.workdps(DPS):
+        l_chi = (mpmath.zeta(2, mpmath.mpf(1) / 3) - mpmath.zeta(2, mpmath.mpf(2) / 3)) / 9
+        miss = abs(mpmath.exp(3 * mpmath.sqrt(3) / (4 * mpmath.pi) * l_chi) - r.value)
+    assert miss <= r.error_bound
 
 
 @pytest.mark.parametrize("a", [6, -6])

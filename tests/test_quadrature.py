@@ -171,7 +171,6 @@ def test_rounds_match_the_heap_on_every_integrand(case):
     lambda: mahler.measure_jensen(TrinomialSpec(6, 2, -3, 2)),
     lambda: mahler.measure_jensen(TrinomialSpec(120, 77, 6, -5)),
     lambda: mahler.measure_jensen(TrinomialSpec(240, 151, -1.827, -0.827)),
-    lambda: mahler.limit_measure(0.8, 0.7j),
 ])
 def test_rounds_match_the_heap_on_the_measure_integrands(call, monkeypatch):
     # a resumed call ends where the heap does from scratch at its tol, on the
@@ -192,6 +191,17 @@ def test_rounds_match_the_heap_on_the_measure_integrands(call, monkeypatch):
     monkeypatch.setattr(mahler, "integrate", spy)
     call()
     assert seen
+
+
+def test_oscillatory_limit_calls_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("limit_measure called integrate")
+
+    monkeypatch.setattr(mahler, "integrate", refuse)
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    r = mahler.limit_measure(0.8, 0.7j)
+    assert mahler.limit_case(0.8, 0.7j).case is mahler.LimitRegime.OSCILLATORY
+    assert r.method == "closed-form" and r.error_bound < 1e-14 * r.value
 
 
 def test_resume_at_a_tol_already_met_makes_no_call():

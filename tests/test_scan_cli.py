@@ -591,11 +591,11 @@ def test_cli_scan_flags_are_scan_only(flag):
 
 TOLERANCE_READERS = [
     ["measure", "5", "2", "3", "1", "--method", "all"],
-    ["limit", "1", "1"],
     ["series", "5", "2", "3", "1"],
 ]
 TOLERANCE_NON_READERS = [
     ["house", "5", "2", "3", "1"],
+    ["limit", "1", "1"],
     ["roots", "5", "2", "3", "1"],
     ["factor", "5", "2", "3", "1"],
     ["irreducible", "5", "2", "3", "1"],
@@ -642,12 +642,10 @@ def test_cli_series_tolerance_reaches_the_sum(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mahler, "integrate", spy)
-    # Jensen integrates twice, at tol and tol/10; the limit once
-    for argv, tols in ((("measure", "5", "2", "3", "1", "--method", "jensen"), [1e-3, 1e-4]),
-                       (("limit", "1", "1"), [1e-3])):
-        seen.clear()
-        assert run_cli(tmp_path, *argv, "--tolerance", "1e-3")[0] == 0
-        assert seen == tols, argv
+    # Jensen integrates twice, at tol and tol/10
+    assert run_cli(tmp_path, "measure", "5", "2", "3", "1", "--method", "jensen",
+                   "--tolerance", "1e-3")[0] == 0
+    assert seen == [1e-3, 1e-4]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -715,6 +713,12 @@ def loaded_after(tmp_path, *argv):
     ("compare-bounds", "10"),
 ], ids=lambda argv: argv[0])
 def test_integer_commands_never_load_numpy(argv, tmp_path):
+    assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
+
+
+@pytest.mark.parametrize("argv", [("limit", "1", "1"), ("limit", "0.8", "0.7j")],
+                         ids=["integer", "complex"])
+def test_closed_form_limit_never_loads_numpy(argv, tmp_path):
     assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
 
 
