@@ -1,22 +1,22 @@
 """Irreducibility over Q and a complete integer polynomial factorization engine.
 
 Pipeline: content/primitive split -> squarefree decomposition (Yun) -> modular
-factorization at a good prime (blocked distinct-degree then Cantor-Zassenhaus
-equal-degree splitting) -> one loop of quadratic Hensel lifting over a
-balanced factor tree, one level (p^k to p^2k, one step per inner node) at a
-time, and recombination.  Candidate subsets of the modular factors, of at
-most half the degree, are walked in order of size and then in combinations
-order; a larger factor is what is left over.  Once the modulus exceeds
-2 |lc(f) f(0)|, the walk takes only the subsets that pass the
-trailing-coefficient test, which no true factor fails, trial-divides each
-whose own degree's coefficient bound the modulus covers, and resumes at the
-first one it does not cover at the next level.  A walk that ends stops the
-lift, often below the half-degree bound (the early tests of Abbott, Shoup and
-Zimmermann, ISSAC 2000).  The passing subsets of each size are found by meet
-in the middle (_Recombination): the constant products of the subsets of one
-half of the modular factors are matched against those of the other half
-through the divisors of lc(f) f(0), with x mod p, when p divides f(0),
-matched on unit parts.  The divisors are counted from a factorization by
+factorization at a good prime, one that divides neither lc(f) nor f(0)
+(blocked distinct-degree then Cantor-Zassenhaus equal-degree splitting) ->
+one loop of quadratic Hensel lifting over a balanced factor tree, one level
+(p^k to p^2k, one step per inner node) at a time, and recombination.
+Candidate subsets of the modular factors, of at most half the degree, are
+walked in order of size and then in combinations order; a larger factor is
+what is left over.  Once the modulus exceeds 2 |lc(f) f(0)|, the walk takes
+only the subsets that pass the trailing-coefficient test, which no true
+factor fails, trial-divides each whose own degree's coefficient bound the
+modulus covers, and resumes at the first one it does not cover at the next
+level.  A walk that ends stops the lift, often below the half-degree bound
+(the early tests of Abbott, Shoup and Zimmermann, ISSAC 2000).  The passing
+subsets of each size are found by meet in the middle (_Recombination): the
+constant products of the subsets of one half of the modular factors, all
+units mod p^k, are matched against those of the other half through the
+divisors of lc(f) f(0).  The divisors are counted from a factorization by
 trial division, taken once per cofactor left to split, and listed only
 where an index repays them; every pair is tested directly where they are
 more than the rows or not known.  Every factorization is verified by exact
@@ -573,19 +573,23 @@ def _mignotte_bound(f: list[int], d: int) -> int:
 
 
 def _choose_prime(f: list[int]) -> int:
-    """The least prime p >= 5 with f squarefree mod p and p not dividing lc(f).
+    """The least prime p >= 5 with f squarefree mod p and p dividing neither
+    lc(f) nor f(0), which must be nonzero (factorize splits off x first).
 
-    A squarefree f fails only at primes dividing lc(f) disc(f), and there are
-    at most log2 |lc(f) disc(f)| of them, with |disc(f)| <= n^n ||f||_2^(2n-2)
+    Every lifted modular factor then has a unit constant, as the
+    trailing-coefficient test of _Recombination needs.  A squarefree f fails
+    only at primes dividing lc(f) f(0) disc(f), and there are at most
+    log2 |lc(f) f(0) disc(f)| of them, with |disc(f)| <= n^n ||f||_2^(2n-2)
     (Mahler, 1964) for n = deg f.  More failures than that prove f is not
     squarefree over Z, and raise ValueError."""
     n = _deg(f)
-    allowed = (abs(f[-1]).bit_length() + n * n.bit_length()
+    ends = f[-1] * f[0]
+    allowed = (abs(ends).bit_length() + n * n.bit_length()
                + (n - 1) * sum(c * c for c in f).bit_length())
     p = 5
     while allowed >= 0:
         if _is_prime(p):
-            if f[-1] % p != 0 and _gf_is_squarefree(_mod(f, p), p):
+            if ends % p != 0 and _gf_is_squarefree(_mod(f, p), p):
                 return p
             allowed -= 1
         p += 2
@@ -625,33 +629,29 @@ class _Recombination:
     remaining is split by position into a low and a high half.  Each half's
     subsets of degree at most limit are tabulated by size, size k from size
     k - 1 and only when the walk reaches k, with their products of lifted
-    constants mod M, times lc on the low side.  A subset passes when
-    b_low a_high is congruent mod M to some v = +-d, d | lc f(0); each v is
-    its own symmetric residue, since M > 2 |lc f(0)|.  So the high rows are
-    indexed by residue, and each low row looks up v b_low^-1 for every v.
-    At most one modular factor, x mod p, has a constant divisible by p.  It
-    sorts first, so it is in the low half, and its lifted constant has
-    valuation w = v_p(f(0)) < k: a low row b = p^w u that holds it matches
-    the v with v_p(v) = w on unit parts, (v / p^w) u^-1 mod M / p^w.
-    factors is the prime factorization of lc f(0) (_factor_small), which
-    counts the values v before any is listed.  Tables too small to repay an
-    index, and all tables when factors is None or the values outnumber the
-    high rows, take the direct test pair by pair, and then the values are
-    never listed."""
+    constants mod M, times lc on the low side.  p divides neither lc(f) nor
+    f(0) (_choose_prime), so every such product is a unit mod M.  A subset
+    passes when b_low a_high is congruent mod M to some v = +-d, d | lc f(0);
+    each v is its own symmetric residue, since M > 2 |lc f(0)|.  So the high
+    rows are indexed by residue, and each low row looks up v b_low^-1 for
+    every v.  factors is the prime factorization of lc f(0) (_factor_small),
+    which counts the values v before any is listed.  Tables too small to
+    repay an index, and all tables when factors is None or the values
+    outnumber the high rows, take the direct test pair by pair, and then the
+    values are never listed."""
 
     def __init__(self, remaining: list[int], degs: list[int], consts: list[int],
-                 f: list[int], factors: list[tuple[int, int]] | None, p: int,
-                 modulus: int):
+                 f: list[int], factors: list[tuple[int, int]] | None, modulus: int):
         self.remaining, self.degs, self.consts = remaining, degs, consts
-        self.p, self.modulus, self.factors = p, modulus, factors
+        self.modulus, self.factors = modulus, factors
         self.limit = _deg(f) // 2
         self.target = f[-1] * f[0]
         cut = (len(remaining) + 1) // 2
         self.halves = (remaining[:cut], remaining[cut:])
         # rows as (subset, product, degree, position of the next element)
         self.rows = ([[((), f[-1], 0, 0)]], [[((), 1, 0, 0)]])
-        self.keys: list[list[tuple[int, list[int]]]] = []
-        self.index: dict[tuple[int, int], dict[int, list]] = {}
+        self.keys: list[list[list[int]]] = []
+        self.index: dict[int, dict[int, list]] = {}
         self.count = None if factors is None else 2 * prod(e + 1 for _, e in factors)
 
     def passing(self, size: int, start: tuple[int, ...] = ()):
@@ -683,10 +683,10 @@ class _Recombination:
                         grown.append((subset + (i,), a * consts[i] % m, e, pos + 1))
                 rows.append(grown)
 
-    def _keys(self, k: int) -> list[tuple[int, list[int]]]:
-        """For each low row of k elements, its w and the residues mod
-        M / p^w of the high products that complete it to a pass."""
-        p, m = self.p, self.modulus
+    def _keys(self, k: int) -> list[list[int]]:
+        """For each low row of k elements, the residues mod M of the high
+        products that complete it to a pass."""
+        m = self.modulus
         if not self.keys:
             divs = [1]
             for q, e in self.factors:
@@ -695,26 +695,19 @@ class _Recombination:
         while len(self.keys) <= k:
             keyed = []
             for _, b, _, _ in self.rows[0][len(self.keys)]:
-                w = 0
-                while b and b % p == 0:
-                    b //= p
-                    w += 1
-                q = p**w
-                inv = pow(b, -1, m // q)
-                keyed.append((w, [v // q * inv % (m // q) for v in self.values
-                                  if v % q == 0 and v // q % p]))
+                inv = pow(b, -1, m)
+                keyed.append([v * inv % m for v in self.values])
             self.keys.append(keyed)
         return self.keys[k]
 
-    def _high(self, k: int, w: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-        """The high rows of k elements by residue mod M / p^w."""
-        if (k, w) not in self.index:
-            mw = self.modulus // self.p**w
+    def _high(self, k: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """The high rows of k elements by residue mod M."""
+        if k not in self.index:
             index: dict[int, list] = {}
             for subset, a, d, _ in self.rows[1][k]:
-                index.setdefault(a % mw, []).append((subset, d))
-            self.index[k, w] = index
-        return self.index[k, w]
+                index.setdefault(a, []).append((subset, d))
+            self.index[k] = index
+        return self.index[k]
 
     def _matches(self, size: int) -> list[tuple[int, ...]]:
         out = []
@@ -732,11 +725,11 @@ class _Recombination:
                         tc = b * a % m
                         if tc > m // 2:
                             tc -= m
-                        if dl + dh <= limit and tc and target % tc == 0:
+                        if dl + dh <= limit and target % tc == 0:
                             out.append(tl + th)
                 continue
-            for (tl, _, dl, _), (w, keys) in zip(lows, self._keys(size - j)):
-                index = self._high(j, w)
+            index = self._high(j)
+            for (tl, _, dl, _), keys in zip(lows, self._keys(size - j)):
                 for key in keys:
                     for th, dh in index.get(key, ()):
                         if dl + dh <= limit:
@@ -778,7 +771,7 @@ def _zassenhaus_squarefree(f: list[int]) -> list[list[int]]:
         modulus = tree.modulus
         lifted = tree.factors()
         walk = _Recombination(remaining, degs, [c[0] for c in lifted], current, factors,
-                              p, modulus)
+                              modulus)
         for subset in walk.passing(size, start):
             d = sum(degs[i] for i in subset)
             if modulus <= comb(d, d // 2) * unit_bound:

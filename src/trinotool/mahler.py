@@ -202,9 +202,28 @@ def limit_case(a: complex, b: complex) -> LimitCase:
         return LimitCase(LimitRegime.DOMINANT_B)
     if ra + rb <= 1.0:
         return LimitCase(LimitRegime.SUB_UNIT)
-    arg = (1.0 - ra * ra - rb * rb) / (2.0 * ra * rb)
-    gamma = math.acos(min(1.0, max(-1.0, arg)))
-    return LimitCase(LimitRegime.OSCILLATORY, gamma=gamma)
+    sides = sorted((1.0, ra, rb), reverse=True)
+    angles = list(_triangle_angles(*sides))
+    del angles[sides.index(1.0)]
+    return LimitCase(LimitRegime.OSCILLATORY, gamma=angles[0] + angles[1])
+
+
+def _triangle_angles(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The angles opposite the sides x >= y >= z of a triangle, each within
+    8 eps relative (derivation in limit_measure's docstring).
+
+    Since y > x / 2, x - y is exact, and p = x + (y + z), q = z - (x - y),
+    r = z + (x - y), t = x + (y - z) are 2s, 2(s - x), 2(s - y), 2(s - z) for
+    s the half perimeter, each within 2 eps relative (Kahan's needle-safe
+    factors).  The half-angle tangents are sqrt(rt / pq), sqrt(qt / pr) and
+    sqrt(qr / pt), taken as products of two square roots of ratios so that
+    nothing overflows."""
+    p, q, r, t = x + (y + z), z - (x - y), z + (x - y), x + (y - z)
+
+    def angle(n1, d1, n2, d2):
+        return 2.0 * math.atan(math.sqrt(n1 / d1) * math.sqrt(n2 / d2))
+
+    return angle(r, q, t, p), angle(q, r, t, p), angle(q, p, r, t)
 
 
 @functools.cache
@@ -257,24 +276,21 @@ def limit_measure(a: complex, b: complex) -> MeasureResult:
 
     By Boyd and Lawton the limit is the measure of the linear form x + a y + b.
     When 1, |a| and |b| form no triangle (every regime but the oscillatory one)
-    that is the largest of them, exactly.  On a triangle with angle theta_s
-    opposite the side s, Cassaigne and Maillot (Maillot, Mem. Soc. Math. Fr. 80,
-    2000) give pi log M = sum_s theta_s log s + sum_s L(theta_s), L as in
-    _lobachevsky.  The angles sum to pi, so with x the largest side
-    M = x exp(C / pi), C = sum_s theta_s log(s / x) + sum_s L(theta_s): C stays
-    of order 1 however large x is.
+    that is the largest of them: exact, or within one rounding, eps times the
+    value, when it is the modulus of a complex a or b.  On a triangle with
+    angle theta_s opposite the side s, Cassaigne and Maillot (Maillot, Mem.
+    Soc. Math. Fr. 80, 2000) give pi log M = sum_s theta_s log s +
+    sum_s L(theta_s), L as in _lobachevsky.  The angles sum to pi, so with x
+    the largest side M = x exp(C / pi), C = sum_s theta_s log(s / x) +
+    sum_s L(theta_s): C stays of order 1 however large x is.
 
-    Angles: sort the sides x >= y >= z.  Then y > x / 2, so x - y is exact, and
-    p = x + (y + z), q = z - (x - y), r = z + (x - y), t = x + (y - z) are
-    2s, 2(s - x), 2(s - y), 2(s - z) for s the half perimeter, each within
-    2 eps relative (Kahan's needle-safe factors).  The half-angle tangents are
-    sqrt(rt / pq), sqrt(qt / pr) and sqrt(qr / pt), taken as products of two
-    square roots of ratios so that nothing overflows.  With every operation,
-    log and atan within eps relative, each angle is within 8 eps relative,
-    also in a needle; a law-of-cosines angle is not, where two long sides
-    are close.  L(theta) for theta > pi/2 is -L(pi - theta), and only the
-    largest angle can exceed pi/2: its supplement is summed from the other two,
-    within 9 eps, not taken from pi.
+    Angles: sort the sides x >= y >= z and take _triangle_angles, half-angle
+    tangents on Kahan's factors of the area.  With every operation, sqrt and
+    atan within eps relative, each angle is within 8 eps relative, also in a
+    needle; a law-of-cosines angle is not, where two long sides are close.
+    L(theta) for theta > pi/2 is -L(pi - theta), and only the largest angle
+    can exceed pi/2: its supplement is summed from the other two, within
+    9 eps, not taken from pi.
 
     Error of C, first order in eps:
     - each angle enters theta log(s / x) with 8 eps, and log(s / x) is within
@@ -291,14 +307,12 @@ def limit_measure(a: complex, b: complex) -> MeasureResult:
     case = limit_case(a, b)
     x, y, z = sorted((1.0, float(abs(a)), float(abs(b))), reverse=True)
     if case.case is not LimitRegime.OSCILLATORY:
-        return MeasureResult(x, math.log(x), "closed-form", 0.0)
+        # x is exact when it is 1 or equals a real |a| or |b|; otherwise it
+        # is |a| or |b| rounded once (a complex modulus or a huge int)
+        exact = x == 1.0 or any(x == abs(v) for v in (a, b) if not isinstance(v, complex))
+        return MeasureResult(x, math.log(x), "closed-form", 0.0 if exact else _EPS * x)
 
-    p, q, r, t = x + (y + z), z - (x - y), z + (x - y), x + (y - z)
-
-    def angle(n1, d1, n2, d2):
-        return 2.0 * math.atan(math.sqrt(n1 / d1) * math.sqrt(n2 / d2))
-
-    big, mid, small = angle(r, q, t, p), angle(q, r, t, p), angle(q, p, r, t)
+    big, mid, small = _triangle_angles(x, y, z)
     lob_mid, err_mid = _lobachevsky(mid)
     lob_small, err_small = _lobachevsky(small)
     if big <= math.pi / 2:

@@ -756,11 +756,10 @@ def test_factor_small_by_trial_division(rng):
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_recombination_matches_the_reference_walk(rng, p):
-    # random constants mod M = p^k > 2 |lc f(0)|, degrees sorted as the
-    # modular factors are, targets with many divisors or with none listed,
-    # and in half the draws a non-unit constant p^e u first, as x mod p is.
-    # Every size's matches equal the reference walk's passing subsets, in
-    # its order, from any resume point
+    # random unit constants mod M = p^k > 2 |lc f(0)|, degrees sorted as the
+    # modular factors are, and targets with many divisors or with none
+    # listed.  Every size's matches equal the reference walk's passing
+    # subsets, in its order, from any resume point
     targets = [1, 2, 12, 720, 2520, 27720, 65537 * 65539]
     matched = 0
     for _ in range(150):
@@ -773,22 +772,16 @@ def test_recombination_matches_the_reference_walk(rng, p):
         while target % p == 0:
             target //= p
         target *= lc * rng.choice([-1, 1])
-        nonunit = rng.random() < 0.5
-        if nonunit:
-            target *= p ** rng.randint(1, 2)
         k = 1
         while p**k <= 2 * abs(target):
             k += 1
         modulus = p ** (k + rng.randint(0, 2))
         consts = [rng.randrange(1, modulus) for _ in range(r)]
         consts = [c if c % p else c + 1 for c in consts]
-        if nonunit:
-            e = rng.randint(1, k - 1)
-            consts[remaining[0]] = p**e * rng.choice([u for u in range(1, p * p) if u % p])
-        # plant a subset of units within the degree limit that passes
+        # plant a subset within the degree limit that passes
         planted = []
         for i in rng.sample(remaining, len(remaining)):
-            if consts[i] % p and sum(degs[j] for j in planted) + degs[i] <= limit:
+            if sum(degs[j] for j in planted) + degs[i] <= limit:
                 planted.append(i)
         if planted:
             rest = lc * prod(consts[i] for i in planted[1:]) % modulus
@@ -798,10 +791,10 @@ def test_recombination_matches_the_reference_walk(rng, p):
         lifted = [[c, 1] for c in consts]
         want = list(_passing(_subsets(remaining, degs, limit, 1), lifted, f, modulus))
         factors = factor._factor_small(target)
-        walk = factor._Recombination(remaining, degs, consts, f, factors, p, modulus)
+        walk = factor._Recombination(remaining, degs, consts, f, factors, modulus)
         assert list(walk.passing(1)) == want, (remaining, degs, consts, target, modulus)
         for start in rng.sample(want, min(3, len(want))):
-            resumed = factor._Recombination(remaining, degs, consts, f, factors, p, modulus)
+            resumed = factor._Recombination(remaining, degs, consts, f, factors, modulus)
             assert list(resumed.passing(len(start), start)) == want[want.index(start):]
         matched += bool(want)
     assert matched > 100
@@ -820,7 +813,7 @@ def test_lift_continues_while_a_subset_passes(monkeypatch):
     assert [len(c) - 1 for c in modular] == [1, 1, 3]
     assert next(_passing(_subsets([0, 1, 2], [1, 1, 3], 2, 1), modular, f, 5)) == (0,)
     walk = factor._Recombination([0, 1, 2], [1, 1, 3], [c[0] for c in modular], f,
-                                 factor._factor_small(f[-1] * f[0]), 5, 5)
+                                 factor._factor_small(f[-1] * f[0]), 5)
     assert next(walk.passing(1)) == (0,)
     levels = _lift_levels(monkeypatch)
     assert sorted(factor._zassenhaus_squarefree(f)) == sorted([g, h])
@@ -888,11 +881,12 @@ def test_early_stop_waits_for_the_modulus_to_pass_the_constant(g, h):
 _PRIMORIAL_97 = prod(q for q in range(2, 98) if _is_prime(q))
 
 
-@pytest.mark.parametrize("terms, p, r", [
+_RECOMBINATION_CASES = [
     # irreducible with 22 factors mod 5: 2.28 M subsets for the reference walk
     ({62: 1, 37: -5, 0: -1}, 5, 22),
-    # p = 5 divides f(0): x mod 5 is a modular factor with a non-unit constant
-    ({27: 1, 1: -3, 0: 5}, 5, 8),
+    # f is squarefree mod 5, but 5 divides f(0), and f is not squarefree
+    # mod 7: the prime is 11, where every lifted constant is a unit
+    ({27: 1, 1: -3, 0: 5}, 11, 2),
     # (x^6 - 1)(x^6 - b), b = 65537 * 65539: the divisors of b are not known
     # and every pair of the tables takes the direct test
     ({12: 1, 6: -(65537 * 65539 + 1), 0: 65537 * 65539}, 5, 7),
@@ -901,7 +895,10 @@ _PRIMORIAL_97 = prod(q for q in range(2, 98) if _is_prime(q))
     # every pair takes the direct test and the divisors are never listed
     ({24: 1, 12: -(factorial(30) + 1), 0: factorial(30)}, 31, 15),
     ({24: 1, 12: -(_PRIMORIAL_97 + 1), 0: _PRIMORIAL_97}, 101, 11),
-])
+]
+
+
+@pytest.mark.parametrize("terms, p, r", _RECOMBINATION_CASES)
 def test_recombination_cases_against_sympy(monkeypatch, terms, p, r):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -913,6 +910,30 @@ def test_recombination_cases_against_sympy(monkeypatch, terms, p, r):
     result = factorize(poly)
     mine = (result.content, [(c.coeffs, mult) for c, mult in result.factors])
     assert mine == _sympy_factorization(sympy, x, poly)
+
+
+def test_choose_prime_divides_neither_end(rng):
+    # the least prime p >= 5 with f squarefree mod p that divides neither
+    # lc(f) nor f(0), so that every lifted constant is a unit mod p^k.  The
+    # m = 1 draws x^n + a x + b, with b 13-smooth and a multiple of 5, 7, 11
+    # or 13, often have f squarefree mod a prime that divides b
+    polys = [list(_sparse(terms).coeffs) for terms, _, _ in _RECOMBINATION_CASES]
+    smooth = [b for b in range(5, 721) if factor._factor_small(b)[-1][0] in (5, 7, 11, 13)]
+    while len(polys) < 300:
+        n = rng.randint(3, 30)
+        f = ([rng.choice([-1, 1]) * rng.choice(smooth), rng.choice([-6, -3, -1, 1, 2, 4])]
+             + [0] * (n - 2) + [rng.choice([1, 5, 7, 35])])
+        if factor._yun_squarefree(f) == [(f, 1)]:
+            polys.append(f)
+    passed_over = 0
+    for f in polys:
+        p = _choose_prime(f)
+        assert f[-1] * f[0] % p and _gf_is_squarefree(_mod(f, p), p), (f, p)
+        below = [q for q in range(5, p) if _is_prime(q)]
+        assert not any(f[-1] * f[0] % q and _gf_is_squarefree(_mod(f, q), q)
+                       for q in below), (f, p)
+        passed_over += any(f[-1] % q and _gf_is_squarefree(_mod(f, q), q) for q in below)
+    assert passed_over > 50
 
 
 def _random_irreducible(rng, d, p):

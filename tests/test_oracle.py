@@ -152,7 +152,13 @@ def test_limit_within_bound(pair):
     r = limit_measure(a, b)
     assert r.method == "closed-form"
     if case.gamma is None:
-        assert (r.value, r.error_bound) == (max(1.0, abs(a), abs(b)), 0.0)
+        if isinstance(a, complex) or isinstance(b, complex):
+            # the modulus of a complex a or b is rounded once
+            with mpmath.workdps(DPS):
+                miss = abs(max(1, abs(mpmath.mpc(a)), abs(mpmath.mpc(b))) - r.value)
+            assert miss <= r.error_bound <= math.ulp(1.0) * r.value
+        else:
+            assert (r.value, r.error_bound) == (max(1.0, abs(a), abs(b)), 0.0)
         return
     with mpmath.workdps(DPS):
         ra, rb = mpmath.mpf(abs(a)), mpmath.mpf(abs(b))
@@ -171,6 +177,17 @@ def test_limit_at_one_one_is_smyths_constant():
         l_chi = (mpmath.zeta(2, mpmath.mpf(1) / 3) - mpmath.zeta(2, mpmath.mpf(2) / 3)) / 9
         miss = abs(mpmath.exp(3 * mpmath.sqrt(3) / (4 * mpmath.pi) * l_chi) - r.value)
     assert miss <= r.error_bound
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5000001), (2, 1.0000001), (0.8, 0.7j)])
+def test_limit_gamma_within_two_angles_rounding(a, b):
+    # gamma is the sum of the half-angle angles opposite |a| and |b|, each
+    # within 8 eps relative.  The first two points are triangles 1e-7 from
+    # degenerate, where acos of the law of cosines loses up to 7.9e-11
+    with mpmath.workdps(DPS):
+        ra, rb = mpmath.mpf(abs(a)), mpmath.mpf(abs(b))
+        gamma = mpmath.acos((1 - ra**2 - rb**2) / (2 * ra * rb))
+        assert abs(limit_case(a, b).gamma - gamma) <= 9 * math.ulp(1.0) * gamma
 
 
 @pytest.mark.parametrize("a", [6, -6])
