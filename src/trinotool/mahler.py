@@ -159,6 +159,11 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     one, P(e^it) = sum c_k e^(ik theta) 2i e^(ikd/2) sin(kd/2), d = t - theta in
     (-pi, pi] from the nearest such theta: this does not cancel at a double zero.
 
+    For real a and b, |P(e^-it)| = |P(e^it)|, so the integral is that of
+    2 log|P(e^it)| over [0, pi], with the breakpoints below pi; the confirmed
+    zeros still come from all of them, so a zero at pi has its formula at
+    that endpoint.  Complex a or b takes the whole circle.
+
     The integral is refined to tol, then on to tol/10 from the same panels.
     The finer value is returned, with log error (fine error + |fine - coarse|)
     / 2pi: on a sharp dip of |P| without a zero the panel estimate alone can
@@ -180,11 +185,16 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
         return 2 * np.abs(np.exp(1j * spec.n * mid) * np.sin(0.5 * spec.n * d)
                           + spec.a * np.exp(1j * spec.m * mid) * np.sin(0.5 * spec.m * d))
 
-    def integrand(t):
-        return np.log(np.maximum(modulus(t), 1e-300))
+    # the half circle of real coefficients counts twice; integrate keeps the
+    # breakpoints inside [0, hi]
+    real = complex(spec.a).imag == complex(spec.b).imag == 0
+    weight, hi = (2.0, math.pi) if real else (1.0, 2 * math.pi)
 
-    coarse = integrate(integrand, 0.0, 2 * math.pi, tol, breakpoints=bps)
-    fine = integrate(integrand, 0.0, 2 * math.pi, tol / 10, start=coarse)
+    def integrand(t):
+        return weight * np.log(np.maximum(modulus(t), 1e-300))
+
+    coarse = integrate(integrand, 0.0, hi, tol, breakpoints=bps)
+    fine = integrate(integrand, 0.0, hi, tol / 10, start=coarse)
     return _from_log(fine.value / (2 * math.pi),
                      (fine.error + abs(fine.value - coarse.value)) / (2 * math.pi),
                      "jensen", fine.panels)

@@ -352,7 +352,19 @@ class RootSet:
         return len(self.roots)
 
     def max_modulus(self) -> float:
-        return max(abs(r) for r in self.roots)
+        """The largest |root|, NaN if any root is NaN."""
+        return _moduli_extreme(max, self.roots)
+
+    def min_modulus(self) -> float:
+        """The smallest |root|, NaN if any root is NaN."""
+        return _moduli_extreme(min, self.roots)
+
+
+def _moduli_extreme(pick, roots: tuple[complex, ...]) -> float:
+    """pick (max or min) of the root moduli, or NaN if any is NaN: Python's max
+    and min keep a NaN only when it comes first."""
+    moduli = [abs(r) for r in roots]
+    return math.nan if any(map(math.isnan, moduli)) else pick(moduli)
 
 
 @dataclass(frozen=True)
@@ -533,6 +545,7 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
         dexps = [e - 1 for e in exps if e]
         dcoeffs = [e * c for e, c in zip(exps, coeffs) if e]
         z = _initial_points(p, coeffs, n)
+        pair = np.empty((n, n), dtype=complex)  # 1 / (z_i - z_j), refilled in place
         converged = False
         for it in range(_MAX_ITER):
             iterations = it + 1
@@ -540,9 +553,10 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
             dv = _eval_terms(dexps, dcoeffs, z)
             dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
+            np.subtract(z[:, None], z[None, :], out=pair)
+            np.fill_diagonal(pair, np.inf)
+            np.divide(1.0, pair, out=pair)
+            s = pair.sum(axis=1)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-300, denom)
             corr = w / denom

@@ -185,8 +185,7 @@ def _scan_orbit(orbit: Sequence[tuple[int, int, int, int]]) -> list[ScanRecord]:
         verdict = factor.is_irreducible(to_dense(spec))
         roots = polycore.all_roots(spec)
         measure = mahler.measure_from_root_set(roots).value
-        moduli = [abs(r) for r in roots.roots]
-        houses = (max(moduli), 1 / min(moduli))  # without and with the reversal
+        houses = (roots.max_modulus(), 1 / roots.min_modulus())  # without, with the reversal
         failure = None
     except Exception as exc:  # every cell of the orbit reports it
         failure = exc

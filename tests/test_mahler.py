@@ -28,7 +28,7 @@ from trinotool.polycore import (
     normalize,
     to_dense,
 )
-from trinotool.quadrature import QuadResult, integrate
+from trinotool.quadrature import DEFAULT_TOL, QuadResult, integrate
 
 
 def random_spec(rng, n_max=20, a_abs_max=8, a_abs_min=1):
@@ -106,6 +106,71 @@ def test_measure_jensen_bound_holds_between_close_dips():
     # truth from mpmath roots at 30 digits; the roots route agrees within 4.3e-12
     r = measure_jensen(TrinomialSpec(120, 37, 2.244623910109541, 2.110423599145506))
     assert abs(r.value - 2.5233247412280035) <= r.error_bound
+
+
+def _jensen_full_circle(spec):
+    # the integrand over the whole circle, as measure_jensen took it for every
+    # a and b: the oracle of its half circle for real ones
+    bps = mahler._circle_breakpoints(spec)
+    theta = np.array(bps)
+    floor = 8 * mahler._EPS * (1 + abs(spec.a) + abs(spec.b))
+    zeros = theta[mahler._circle_modulus(spec, theta) <= floor]
+
+    def integrand(t):
+        if not zeros.size:
+            return np.log(np.maximum(mahler._circle_modulus(spec, t), 1e-300))
+        d = math.pi - (math.pi - (t[:, None] - zeros)) % (2 * math.pi)
+        near = np.argmin(np.abs(d), axis=1)
+        d = d[np.arange(len(t)), near]
+        mid = zeros[near] + 0.5 * d
+        modulus = 2 * np.abs(np.exp(1j * spec.n * mid) * np.sin(0.5 * spec.n * d)
+                             + spec.a * np.exp(1j * spec.m * mid) * np.sin(0.5 * spec.m * d))
+        return np.log(np.maximum(modulus, 1e-300))
+
+    coarse = integrate(integrand, 0.0, 2 * math.pi, DEFAULT_TOL, bps)
+    fine = integrate(integrand, 0.0, 2 * math.pi, DEFAULT_TOL / 10, start=coarse)
+    return mahler._from_log(fine.value / (2 * math.pi),
+                            (fine.error + abs(fine.value - coarse.value)) / (2 * math.pi),
+                            "jensen", fine.panels)
+
+
+@pytest.mark.parametrize("spec", [
+    (9, 4, -0.5, -0.5),  # P(1) = 0: a zero at the endpoint 0
+    (3, 1, -3, 2),  # (z - 1)^2 (z + 2): a double zero at 0
+    (7, 2, 0.5, 0.5),  # P(-1) = 0: a zero at the endpoint pi
+    (6, 2, -3, 2),  # (z^2 - 1)^2 (z^2 + 2): double zeros at 0 and pi
+    (8, 3, 3, 2),  # P(-1) = 0 on the boundary |a| - |b| = 1
+    (31, 10, -2, 1),  # the boundary, with P(1) = 0
+    (60, 17, 3, 2),  # the boundary
+    (120, 37, 2.244623910109541, 2.110423599145506),  # close dips
+    (240, 151, -1.827, -0.827),
+    (240, 119, 3, -1),
+], ids=str)
+def test_measure_jensen_half_circle_matches_the_full_circle(spec):
+    spec = TrinomialSpec(*spec)
+    half, full = measure_jensen(spec), _jensen_full_circle(spec)
+    assert abs(half.value - full.value) <= half.error_bound + full.error_bound
+
+
+@pytest.mark.parametrize("a, b, hi", [
+    (3, 1, math.pi), (-2.5, 0.5, math.pi), (3 + 0j, 1.0, math.pi),
+    (3 + 1j, 1, 2 * math.pi), (3, 1j, 2 * math.pi), (0.8, 0.7j, 2 * math.pi),
+], ids=str)
+def test_measure_jensen_takes_the_half_circle_for_real_coefficients(a, b, hi, monkeypatch):
+    spans = []
+
+    def spy(f, lo, hi, tol, breakpoints=(), start=None):
+        spans.append((lo, hi))
+        return integrate(f, lo, hi, tol, breakpoints, start=start)
+
+    monkeypatch.setattr(mahler, "integrate", spy)
+    measure_jensen(TrinomialSpec(30, 7, a, b))
+    assert spans == [(0.0, hi), (0.0, hi)]
+
+
+def test_measure_jensen_complex_zero_imaginary_parts_are_real():
+    assert measure_jensen(TrinomialSpec(60, 23, 3 + 0j, 1)) == measure_jensen(
+        TrinomialSpec(60, 23, 3, 1))
 
 
 @pytest.mark.parametrize("spec", [(30, 7, 2.000000001, 1), (7, 3, 1e300, 1e300)],
@@ -280,16 +345,16 @@ def test_jensen_fine_pass_resumes_the_coarse_panels(spec, monkeypatch):
     passes = []
 
     def spy(f, lo, hi, tol, breakpoints=(), start=None):
-        passes.append((f, tol, breakpoints))
+        passes.append((f, lo, hi, tol, breakpoints))
         return integrate(f, lo, hi, tol, breakpoints, start=start)
 
     monkeypatch.setattr(mahler, "integrate", spy)
     measure_jensen(TrinomialSpec(*spec))
     resumed = len(rounds)
-    (f, tol, bps), (_, fine_tol, _) = passes
+    (f, lo, hi, tol, bps), (_, _, _, fine_tol, _) = passes
     rounds.clear()
-    integrate(f, 0.0, 2 * math.pi, tol, bps)
-    integrate(f, 0.0, 2 * math.pi, fine_tol, bps)
+    integrate(f, lo, hi, tol, bps)
+    integrate(f, lo, hi, fine_tol, bps)
     assert fine_tol == tol / 10
     assert resumed < len(rounds)
 

@@ -16,6 +16,7 @@ from trinotool.errors import (
 from trinotool.polycore import (
     FamilyForm,
     IntPolynomial,
+    RootSet,
     TrinomialSpec,
     all_roots,
     classify_real_roots,
@@ -344,6 +345,18 @@ def test_all_roots_convergence_failure_reports_best_iterate(monkeypatch):
         all_roots(IntPolynomial.of([1, 3, 0, 0, 2, 1]))
     assert len(err.value.roots) == 5
     assert err.value.residual_bound > 1e-14
+
+
+@pytest.mark.parametrize("where", range(4))
+def test_root_set_extremes_are_nan_when_any_root_is(where):
+    # Python's max and min keep a NaN only when it comes first; three roots
+    # near 1e-100 and one NaN root, at every position, must give NaN both ways
+    roots = [complex(1e-100, k * 1e-101) for k in range(3)]
+    roots.insert(where, complex(math.nan, math.nan))
+    rs = RootSet(roots=tuple(roots), residual_bound=0.0, certified=True, iterations=1)
+    assert math.isnan(rs.max_modulus()) and math.isnan(rs.min_modulus())
+    finite = RootSet(roots=(2j, -0.5, 1 + 1j), residual_bound=0.0, certified=True, iterations=1)
+    assert (finite.max_modulus(), finite.min_modulus()) == (2.0, 0.5)
 
 
 # ------------------------------------------------- classify_real_roots

@@ -759,6 +759,33 @@ def test_cli_refuses_nan_output(argv, fmt, tmp_path, capsys):
     assert "NaN" in err
 
 
+def _partly_nan_roots(spec):
+    # three roots near 1e-100 and four NaN roots, finite ones first: the
+    # shape of a solve of (7, 3, 1e300, 1) that lost only some of its roots
+    roots = (*(complex(1e-100, k * 1e-101) for k in range(3)),
+             *(complex(math.nan, math.nan),) * 4)
+    return polycore.RootSet(roots=roots, residual_bound=0.0, certified=True, iterations=1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_house_refuses_a_partly_nan_root_set(fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polycore, "all_roots", _partly_nan_roots)
+    rc, text = run_cli(tmp_path, "house", "7", "3", "1e300", "1", "--format", fmt)
+    assert rc == 1 and text == ""
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    if fmt == "json":
+        assert json.loads(err)["error"]["type"] == "ConvergenceFailure"
+    assert "house came out NaN" in err
+
+
+def test_scan_house_is_nan_when_any_root_is(monkeypatch):
+    # with and without the reversal: max|z| and 1/min|z| both see the NaN
+    monkeypatch.setattr(polycore, "all_roots", _partly_nan_roots)
+    records = scan._scan_orbit(sorted(_orbit_of(7, 3, 3, 1)))
+    assert len(records) == 4
+    assert all(math.isnan(r.house) for r in records), records
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_measure_all_nan_route_is_an_error_row(tmp_path):
     rc, text = run_cli(tmp_path, "measure", "7", "3", "1e300", "1",
