@@ -23,7 +23,6 @@ import json
 import math
 import re
 import sys
-import warnings
 
 from . import __version__, bounds, factor, mahler, scan
 from .errors import ConvergenceFailure, TrinotoolError
@@ -409,25 +408,20 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         if hasattr(args, key) and getattr(args, key) is not None:
             out.config[key] = getattr(args, key)
 
-    with warnings.catch_warnings():
+    try:
+        records = args.func(args, out.config)
+        out.emit(records, jsonl=args.command == "scan")
+        if args.command == "scan":
+            sys.stderr.write(_scan_summary(args, len(records)))
+        return 0
+    except (TrinotoolError, ValueError, OverflowError, OSError) as exc:
         if args.format == "json":
-            # stderr holds only the JSON error object: numpy's overflow
-            # warnings foretell a NaN, which is refused as ConvergenceFailure
-            warnings.simplefilter("ignore")
-        try:
-            records = args.func(args, out.config)
-            out.emit(records, jsonl=args.command == "scan")
-            if args.command == "scan":
-                sys.stderr.write(_scan_summary(args, len(records)))
-            return 0
-        except (TrinotoolError, ValueError, OverflowError, OSError) as exc:
-            if args.format == "json":
-                sys.stderr.write(json.dumps(
-                    {"error": {"type": type(exc).__name__, "message": str(exc)}}
-                ) + "\n")
-            else:
-                sys.stderr.write(f"error: {exc}\n")
-            return 1
+            sys.stderr.write(json.dumps(
+                {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            ) + "\n")
+        else:
+            sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 def main() -> None:

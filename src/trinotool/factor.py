@@ -238,13 +238,13 @@ def _derivative(c: list[int]) -> list[int]:
 
 def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
     """Primitive-PRS gcd, returned primitive with positive leading coefficient."""
-    a = _primitive(list(f))[1] if f else []
-    b = _primitive(list(g))[1] if g else []
+    a = _primitive(f)[1]
+    b = _primitive(g)[1]
     while b:
         # scaling by lc(b)^(d+1) makes every long-division step exact
         d = max(_deg(a) - _deg(b), 0)
         r = _divmod_exact([x * b[-1] ** (d + 1) for x in a], b)[1]
-        a, b = b, (_primitive(r)[1] if r else [])
+        a, b = b, _primitive(r)[1]
     return a
 
 
@@ -335,7 +335,7 @@ def _gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def _gf_gcdext(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """(d, s, t) with s f + t g = d = monic gcd."""
+    """(d, s, t) with s f + t g = d = monic gcd, for nonzero f and g."""
     r0, r1 = list(f), list(g)
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -344,8 +344,6 @@ def _gf_gcdext(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]
         r0, r1 = r1, r
         s0, s1 = s1, _mod_sub(s0, dense_mul(q, s1), p)
         t0, t1 = t1, _mod_sub(t0, dense_mul(q, t1), p)
-    if not r0:
-        return [], s0, t0
     inv = pow(r0[-1], -1, p)
     return _monic(r0, p), _mod([x * inv for x in s0], p), _mod([x * inv for x in t0], p)
 
@@ -399,8 +397,7 @@ def _gf_edf(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
         g = _gf_gcd(w, f, p)
         if 0 < _deg(g) < n:
             break
-    rest = _mod_divmod(f, g, p)[0]
-    return _gf_edf(g, d, p, rng) + _gf_edf(_monic(rest, p), d, p, rng)
+    return _gf_edf(g, d, p, rng) + _gf_edf(_mod_divmod(f, g, p)[0], d, p, rng)
 
 
 def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
@@ -432,12 +429,12 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: Random) -> list[list[int]]:
             acc = _mod_divmod(dense_mul(acc, diffs[-1]), f, p)[1]
         g = _gf_gcd(acc, v, p)
         if _deg(g) > 0:
-            v = _monic(_mod_divmod(v, g, p)[0], p)
+            v = _mod_divmod(v, g, p)[0]  # monic, as a quotient of monics
             for e, diff in enumerate(diffs, d + 1):
                 ge = _gf_gcd(diff, g, p)
                 if _deg(ge) > 0:
                     out.extend(_gf_edf(ge, e, p, rng))
-                    g = _monic(_mod_divmod(g, ge, p)[0], p)
+                    g = _mod_divmod(g, ge, p)[0]
                     if _deg(g) == 0:
                         break
         d = top
@@ -818,7 +815,6 @@ def factorize(poly: IntPolynomial) -> FactorizationResult:
 
     if _deg(prim) >= 1:
         for part, mult in _yun_squarefree(prim):
-            part = _primitive(part)[1]
             for irr in _zassenhaus_squarefree(part):
                 collected.append((IntPolynomial(tuple(irr)), mult))
 

@@ -527,6 +527,13 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
     Deterministic for fixed input.  Raises ConvergenceFailure (carrying the
     best iterate) if _MAX_ITER iterations pass without convergence while the
     residual bound is still above _CERT_TOL.
+
+    The Aberth loop, the polish and the residual run under one np.errstate
+    that silences overflow, invalid and divide warnings: once |z|^n leaves
+    the double range (z^30 - 1e15 z^29 - 1) the iterates turn NaN.  The loop
+    stops at the first step where every root is NaN, and the solve returns
+    an all-NaN, uncertified RootSet with a NaN residual bound, which the CLI
+    and convergence_table refuse as ConvergenceFailure.
     """
     exps, coeffs = _terms(p)
     if not exps or exps[-1] < 1:
@@ -546,39 +553,42 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
         dcoeffs = [e * c for e, c in zip(exps, coeffs) if e]
         z = _initial_points(p, coeffs, n)
         pair = np.empty((n, n), dtype=complex)  # 1 / (z_i - z_j), refilled in place
-        converged = False
-        for it in range(_MAX_ITER):
-            iterations = it + 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            converged = False
+            for it in range(_MAX_ITER):
+                iterations = it + 1
+                pv = _eval_terms(exps, coeffs, z)
+                dv = _eval_terms(dexps, dcoeffs, z)
+                dv = np.where(dv == 0, 1e-300, dv)
+                w = pv / dv
+                np.subtract(z[:, None], z[None, :], out=pair)
+                np.fill_diagonal(pair, np.inf)
+                np.divide(1.0, pair, out=pair)
+                s = pair.sum(axis=1)
+                denom = 1.0 - w * s
+                denom = np.where(denom == 0, 1e-300, denom)
+                corr = w / denom
+                z = z - corr
+                if np.isnan(z).all():  # one NaN root spreads to all via the pair sums
+                    break
+                if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_TOL:
+                    converged = True
+                    break
+            # terminal Newton pass, kept only where it reduces |P|
             pv = _eval_terms(exps, coeffs, z)
             dv = _eval_terms(dexps, dcoeffs, z)
             dv = np.where(dv == 0, 1e-300, dv)
-            w = pv / dv
-            np.subtract(z[:, None], z[None, :], out=pair)
-            np.fill_diagonal(pair, np.inf)
-            np.divide(1.0, pair, out=pair)
-            s = pair.sum(axis=1)
-            denom = 1.0 - w * s
-            denom = np.where(denom == 0, 1e-300, denom)
-            corr = w / denom
-            z = z - corr
-            if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_TOL:
-                converged = True
-                break
-        # terminal Newton pass, kept only where it reduces |P|
-        pv = _eval_terms(exps, coeffs, z)
-        dv = _eval_terms(dexps, dcoeffs, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        z_new = z - pv / dv
-        pv_new = _eval_terms(exps, coeffs, z_new)
-        better = np.abs(pv_new) <= np.abs(pv)
-        z = np.where(better, z_new, z)
-        # |P(z)| computed in floats is only trustworthy down to the evaluation
-        # noise floor; without it, cancellation at multiple roots reports
-        # spuriously tiny residuals and over-certifies the cluster
-        pv = np.abs(np.where(better, pv_new, pv))
-        noise = 2.3e-16 * _eval_terms(exps, [abs(c) for c in coeffs], np.abs(z))
-        dv = np.maximum(np.abs(_eval_terms(dexps, dcoeffs, z)), 1e-300)
-        residual = float(np.max(n * (pv + noise) / dv))
+            z_new = z - pv / dv
+            pv_new = _eval_terms(exps, coeffs, z_new)
+            better = np.abs(pv_new) <= np.abs(pv)
+            z = np.where(better, z_new, z)
+            # |P(z)| computed in floats is only trustworthy down to the evaluation
+            # noise floor; without it, cancellation at multiple roots reports
+            # spuriously tiny residuals and over-certifies the cluster
+            pv = np.abs(np.where(better, pv_new, pv))
+            noise = 2.3e-16 * _eval_terms(exps, [abs(c) for c in coeffs], np.abs(z))
+            dv = np.maximum(np.abs(_eval_terms(dexps, dcoeffs, z)), 1e-300)
+            residual = float(np.max(n * (pv + noise) / dv))
         if not converged and residual > _CERT_TOL:
             raise ConvergenceFailure(
                 f"root iteration did not converge in {_MAX_ITER} iterations "

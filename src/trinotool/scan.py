@@ -59,11 +59,11 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
-from math import gcd
+from math import gcd, isnan
 from typing import Iterable, Sequence
 
 from . import factor, mahler, polycore
-from .errors import InternalVerificationFailure
+from .errors import ConvergenceFailure, InternalVerificationFailure
 from .polycore import IntPolynomial, TrinomialSpec, to_dense
 
 __all__ = [
@@ -371,13 +371,18 @@ def convergence_table(a: complex, b: complex, n_list: Sequence[int],
     """Measure vs the large-n limit along a sequence of degrees.
 
     ``m_rule`` is one of fixed:<m>, last (m = n-1), or half (the coprime m
-    closest to n/2).
+    closest to n/2).  Raises ConvergenceFailure at the first degree whose
+    measure has a NaN error bound, as from roots that came out NaN; an
+    infinite bound is kept, as in ``measure``.
     """
     limit = mahler.limit_measure(a, b).value
     rows = []
     for n in sorted(set(int(n) for n in n_list)):
         m = _m_for_rule(n, m_rule)
-        measure = mahler.measure_from_roots(TrinomialSpec(n, m, a, b)).value
+        result = mahler.measure_from_roots(TrinomialSpec(n, m, a, b))
+        if isnan(result.error_bound):
+            raise ConvergenceFailure(f"measure at n={n}, m={m} came out NaN")
+        measure = result.value
         rows.append(ConvergenceRow(n=n, m=m, measure=measure, limit=limit,
                                    gap=abs(measure - limit)))
     return rows

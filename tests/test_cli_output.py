@@ -1,9 +1,10 @@
 """What the CLI prints, command by command: the field order of text and CSV
-records, and a json-mode stderr that holds one JSON object: the error, or
-scan's summary."""
+records, a json-mode stderr that holds one JSON object (the error, or scan's
+summary), and a text-mode error that is one line."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,38 +76,50 @@ def test_readme_commands_print_fields_in_fixed_order(argv, key_sequences, header
     assert _printed(tmp_path, argv, "csv").splitlines()[0] == header
 
 
-def _run_json(argv, cwd=None):
-    """argv run with --format json in a fresh interpreter."""
+def _run_fresh(argv, fmt="json", cwd=None):
+    """argv run with --format fmt in a fresh interpreter."""
     src = str(Path(polycore.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "trinotool", *argv, "--format", "json"],
+    return subprocess.run([sys.executable, "-m", "trinotool", *argv, "--format", fmt],
                           env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("argv", [
+# inputs whose solve overflows to NaN
+_NAN_ARGVS = pytest.mark.parametrize("argv", [
     ("roots", "60", "59", "-1000000", "-1"),
     ("measure", "7", "3", "1e300", "1"),
     ("house", "7", "3", "1e300", "1"),
 ], ids=lambda argv: argv[0])
+
+
+# a fresh interpreter, so that stderr is the process's own: a warning that
+# escaped the solver would print there, next to the error
+
+@_NAN_ARGVS
 def test_json_mode_stderr_is_one_error_object(argv):
-    # a fresh interpreter: numpy warns once per code location per process, so
-    # an earlier test in this one may already have spent the warnings
-    proc = _run_json(argv)
+    proc = _run_fresh(argv)
     assert proc.returncode == 1 and proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
     assert error["type"] == "ConvergenceFailure" and "NaN" in error["message"]
 
 
+@_NAN_ARGVS
+def test_text_mode_stderr_is_one_error_line(argv):
+    proc = _run_fresh(argv, "text")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(r"error: [^\n]* came out NaN\n", proc.stderr), proc.stderr
+
+
 def test_json_mode_scan_stderr_is_one_summary_object(tmp_path):
-    proc = _run_json(("scan", "--n-max", "8", "--a", "3"), cwd=tmp_path)
+    proc = _run_fresh(("scan", "--n-max", "8", "--a", "3"), cwd=tmp_path)
     assert proc.returncode == 0
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert json.loads(proc.stderr) == {"scan": {
         "n_max": 8, "a": [3], "signs": [-1, 1], "coprime_only": True, "rows": len(rows)}}
     # the summary follows the rows: an --out that cannot be written leaves
     # stderr with the error object alone
-    proc = _run_json(("scan", "--n-max", "8", "--a", "3", "--out",
-                      str(tmp_path / "no" / "such" / "dir" / "x")), cwd=tmp_path)
+    proc = _run_fresh(("scan", "--n-max", "8", "--a", "3", "--out",
+                       str(tmp_path / "no" / "such" / "dir" / "x")), cwd=tmp_path)
     assert proc.returncode == 1 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"

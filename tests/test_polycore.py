@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +347,23 @@ def test_all_roots_convergence_failure_reports_best_iterate(monkeypatch):
         all_roots(IntPolynomial.of([1, 3, 0, 0, 2, 1]))
     assert len(err.value.roots) == 5
     assert err.value.residual_bound > 1e-14
+
+
+@pytest.mark.parametrize("spec", [
+    (7, 3, 1e300, 1), (60, 59, -10**6, -1),
+    # the overflowing specs of the measure benchmark, seeds 3001-3010
+    (30, 29, -10**15, -1), (240, 233, 10**14, -1), (30, 29, 10**12, 1), (60, 59, -10**8, 1),
+    (60, 59, -10**14, 1), (120, 119, -10**7, -1), (60, 59, 10**6, 1),
+])
+def test_all_roots_overflow_ends_early_as_all_nan(spec):
+    # |z|^n leaves the double range: the solve stops at the first all-NaN
+    # step, silently, and reports an uncertified set with a NaN bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = all_roots(TrinomialSpec(*spec))
+    assert len(rs) == spec[0] and all(cmath.isnan(r) for r in rs.roots)
+    assert math.isnan(rs.residual_bound) and not rs.certified
+    assert rs.iterations <= 3
 
 
 @pytest.mark.parametrize("where", range(4))

@@ -436,6 +436,23 @@ def test_convergence_m_rules():
         convergence_table(3, 1, [6], "whatever")
 
 
+def test_convergence_refuses_a_nan_measure():
+    # the solve overflows from n = 56: its roots come out NaN and the measure
+    # from them would read 1.0, where the true value is about 1e6
+    assert convergence_table(10**6, -1, [52], "last")[0].measure == pytest.approx(1e6)
+    with pytest.raises(ConvergenceFailure, match="n=56, m=55"):
+        convergence_table(10**6, -1, [52, 56, 60], "last")
+    with pytest.raises(ConvergenceFailure, match="n=10, m=1"):
+        convergence_table(1e300, 1, [10], "fixed:1")
+
+
+def test_convergence_keeps_an_infinite_bound(monkeypatch):
+    # as in `measure`, an infinite error bound is a bound, not a failure
+    monkeypatch.setattr(mahler, "measure_from_roots", lambda spec: mahler.MeasureResult(
+        3.5, math.log(3.5), "roots", math.inf))
+    assert [r.measure for r in convergence_table(3, 1, [6, 10], "fixed:1")] == [3.5, 3.5]
+
+
 # -------------------------------------------------------- CLI
 
 def run_cli(tmp_path, *argv):
@@ -747,9 +764,9 @@ def test_pooled_scan_loads_numpy_in_the_parent(tmp_path):
     ("roots", "60", "59", "-1000000", "-1"),
     ("measure", "7", "3", "1e300", "1"),
     ("house", "7", "3", "1e300", "1"),
+    ("converge", "--a", "1000000", "--b", "-1", "--n", "52,56,60", "--m-rule", "last"),
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the solver overflows
 def test_cli_refuses_nan_output(argv, fmt, tmp_path, capsys):
     rc, text = run_cli(tmp_path, *argv, "--format", fmt)
     assert rc == 1 and text == ""
@@ -786,7 +803,6 @@ def test_scan_house_is_nan_when_any_root_is(monkeypatch):
     assert all(math.isnan(r.house) for r in records), records
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_measure_all_nan_route_is_an_error_row(tmp_path):
     rc, text = run_cli(tmp_path, "measure", "7", "3", "1e300", "1",
                        "--method", "all", "--format", "json")
