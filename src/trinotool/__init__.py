@@ -31,7 +31,6 @@ from .factor import (
     FactorizationResult,
     IrreducibilityVerdict,
     SchinzelReport,
-    factor_mod_prime,
     factorize,
     is_irreducible,
     schinzel_conditions,

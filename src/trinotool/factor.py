@@ -29,8 +29,8 @@ and the four-condition necessary test for reducibility of A x^n + B x^m + C
 
 Dense polynomials are plain lists of Python ints in ascending degree order
 throughout this module; the public API wraps them in IntPolynomial.  All modular
-work (the GF(p) splitting, which _gf_factors runs for both factor_mod_prime and
-the factorizer, as well as Hensel lifting mod p^k) runs on one (Z/m)[x] kernel:
+work (the GF(p) splitting in _gf_factors, as well as Hensel lifting mod p^k)
+runs on one (Z/m)[x] kernel:
 _mod, _mod_mul, _mod_sub, _mod_divmod and _monic, with products taken by
 polycore.dense_mul over Z and reduced once.  dense_mul is one big-int product by
 Kronecker substitution whose operands are packed and unpacked through array
@@ -71,7 +71,6 @@ __all__ = [
     "threshold_irreducible",
     "factorize",
     "is_irreducible",
-    "factor_mod_prime",
 ]
 
 
@@ -451,24 +450,6 @@ def _gf_factors(f: list[int], p: int) -> list[list[int]]:
     key = f"{p}:{','.join(map(str, monic))}".encode()
     factors = _gf_factor_squarefree(monic, p, Random(zlib.crc32(key)))
     return sorted(factors, key=lambda c: (len(c), tuple(c)))
-
-
-def factor_mod_prime(poly: IntPolynomial, p: int) -> tuple[int, list[IntPolynomial]]:
-    """Monic irreducible factors of poly mod p (requires p prime, p not
-    dividing the leading coefficient, and poly squarefree mod p).
-
-    Returns (leading coefficient mod p, factors); useful as an independent
-    irreducibility witness: a single factor of full degree proves poly
-    irreducible over Q.
-    """
-    if not _is_prime(p) or p < 5:
-        raise ValueError(f"need a prime p >= 5, got {p}")
-    f = _mod(list(poly.coeffs), p)
-    if _deg(f) != poly.degree:
-        raise ValueError(f"{p} divides the leading coefficient")
-    if not _gf_is_squarefree(f, p):
-        raise ValueError(f"polynomial is not squarefree mod {p}")
-    return f[-1], [IntPolynomial(tuple(g)) for g in _gf_factors(f, p)]
 
 
 # ----------------------------------------------------------------------------

@@ -164,10 +164,9 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     zeros still come from all of them, so a zero at pi has its formula at
     that endpoint.  Complex a or b takes the whole circle.
 
-    The integral is refined to tol, then on to tol/10 from the same panels.
-    The finer value is returned, with log error (fine error + |fine - coarse|)
-    / 2pi: on a sharp dip of |P| without a zero the panel estimate alone can
-    understate the error.
+    integrate refines to tol and on to tol/10, and its error adds the gap
+    between the two values to the finer panel estimate: on a sharp dip of |P|
+    without a zero the panel estimate alone can understate the error.
     """
     require_float(spec.a, spec.b)
     bps = _circle_breakpoints(spec)
@@ -193,11 +192,8 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     def integrand(t):
         return weight * np.log(np.maximum(modulus(t), 1e-300))
 
-    coarse = integrate(integrand, 0.0, hi, tol, breakpoints=bps)
-    fine = integrate(integrand, 0.0, hi, tol / 10, start=coarse)
-    return _from_log(fine.value / (2 * math.pi),
-                     (fine.error + abs(fine.value - coarse.value)) / (2 * math.pi),
-                     "jensen", fine.panels)
+    res = integrate(integrand, 0.0, hi, tol, breakpoints=bps)
+    return _from_log(res.value / (2 * math.pi), res.error / (2 * math.pi), "jensen", res.panels)
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:
@@ -227,7 +223,10 @@ def _triangle_angles(x: float, y: float, z: float) -> tuple[float, float, float]
     s the half perimeter, each within 2 eps relative (Kahan's needle-safe
     factors).  The half-angle tangents are sqrt(rt / pq), sqrt(qt / pr) and
     sqrt(qr / pt), taken as products of two square roots of ratios so that
-    nothing overflows."""
+    nothing overflows.  Above x = 2^1020, p and t could overflow: the sides are
+    first divided by 4, exactly, which leaves the angles and z >= 1/4 normal."""
+    if x > 2.0 ** 1020:
+        x, y, z = x / 4, y / 4, z / 4
     p, q, r, t = x + (y + z), z - (x - y), z + (x - y), x + (y - z)
 
     def angle(n1, d1, n2, d2):

@@ -8,28 +8,25 @@ panel values in left-endpoint order, so results do not depend on the order in
 which panels were refined.
 
 ``integrate`` refines until the summed panel error estimate is at most its
-``tol`` keyword (default ``DEFAULT_TOL``), and gives up with
-QuadratureBudgetExceeded once ``_MAX_EVALS`` integrand evaluations are spent.
-It refines in rounds: each round halves a batch of panels and evaluates all
-their 15-point nodes with one call of the integrand.  The batch is the fewest
-worst panels whose errors add up to more than the excess over ``tol``.  A
-worst-first heap could not stop before splitting each of them (halving replaces
-an error by two non-negative ones), and it splits them in the same order as
-long as no half is worse than the batch's last panel, the usual case once the
-rule converges on a panel.
-
-``integrate(..., start=earlier)`` continues from the final panels of an earlier
-result on the same interval instead of starting again from the breakpoints.
-The heap's order of splits does not depend on ``tol``, only its stopping point
-does: a heap run to a finer tol passes through the state where the summed error
-first falls to the coarser one.  So refining the coarse run's panels on to the
-finer tol ends on the panels of one run at the finer tol, and skips the rounds
-the two runs share.
+``tol`` keyword (default ``DEFAULT_TOL``), then on to tol/10 from the same
+panels, and returns the finer value.  Its error is the finer panel estimate
+plus the gap between the two values: on a sharp dip of a log integrand without
+a zero the panel estimate alone can understate the error.  It gives up with
+QuadratureBudgetExceeded once ``_MAX_EVALS`` integrand evaluations, counted
+over both decades, are spent.  It refines in rounds: each round halves a batch
+of panels and evaluates all their 15-point nodes with one call of the
+integrand.  The batch is the fewest worst panels whose errors add up to more
+than the excess over the current target.  A worst-first heap could not stop
+before splitting each of them (halving replaces an error by two non-negative
+ones), and it splits them in the same order as long as no half is worse than
+the batch's last panel, the usual case once the rule converges on a panel.
+The heap's order of splits does not depend on the target, only its stopping
+point does, so the second decade ends on the panels of one heap run to tol/10.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import QuadratureBudgetExceeded
@@ -90,12 +87,6 @@ class QuadResult:
     error: float
     evals: int
     panels: int
-    # the final panels (endpoints, values, errors) and the evaluations spent
-    # since the first pass, for integrate(..., start=this)
-    _pts: object = field(default=None, repr=False, compare=False)
-    _val: object = field(default=None, repr=False, compare=False)
-    _err: object = field(default=None, repr=False, compare=False)
-    _spent: int = field(default=0, repr=False, compare=False)
 
 
 def _panels(f, a, b):
@@ -115,60 +106,55 @@ def _panels(f, a, b):
 
 
 def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
-              breakpoints: tuple[float, ...] = (),
-              start: QuadResult | None = None) -> QuadResult:
+              breakpoints: tuple[float, ...] = ()) -> QuadResult:
     """Integrate f over [lo, hi], splitting initially at the given breakpoints.
 
-    With start, a result of integrate over the same [lo, hi] (else ValueError),
-    refinement continues from start's final panels, and breakpoints are not
-    read: at a finer tol this ends on the panels of one call at that tol from
-    start's breakpoints (see the module docstring).  The result's evals counts
-    this call's evaluations only; _MAX_EVALS counts from start's first pass.
+    Refines until the summed panel error estimate is at most tol, then on to
+    tol/10 from the same panels, and returns the finer value with error the
+    finer estimate plus |fine - coarse| (see the module docstring).
 
     Each round halves, in one call of f, the fewest worst panels (stable order
-    by error) whose errors add up to more than the total error minus tol: the
-    panels a worst-first heap would split next (see the module docstring).  A
-    panel narrower than 1e-15 (hi - lo) is never split; its error stays in
-    the total.  A round is cut down to the splits that fit in _MAX_EVALS
-    evaluations.  Raises QuadratureBudgetExceeded when not even one split
-    fits and the summed panel error estimate still exceeds tol.
+    by error) whose errors add up to more than the total error minus the
+    target: the panels a worst-first heap would split next.  A panel narrower
+    than 1e-15 (hi - lo) is never split; its error stays in the total.  A round
+    is cut down to the splits that fit in _MAX_EVALS evaluations.  Raises
+    QuadratureBudgetExceeded when not even one split fits and the summed panel
+    error estimate still exceeds the target.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
-    if start is None:
-        pts = np.array(sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)}), dtype=float)
-        val, err = _panels(f, pts[:-1], pts[1:])
-        spent = 0
-        evals = 15 * len(val)
-    else:
-        if start._pts is None or (start._pts[0], start._pts[-1]) != (lo, hi):
-            raise ValueError("start is not a result of integrate over [lo, hi]")
-        pts, val, err = start._pts, start._val.copy(), start._err.copy()
-        spent = evals = start._spent
+    pts = np.array(sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)}), dtype=float)
+    val, err = _panels(f, pts[:-1], pts[1:])
+    evals = 15 * len(val)
     width_floor = 1e-15 * (hi - lo)
 
-    while (err_total := err.sum()) > tol:
-        live = np.flatnonzero(np.diff(pts) >= width_floor)
-        if not live.size:
-            break
-        worst = live[np.argsort(-err[live], kind="stable")]
-        count = 1 + np.count_nonzero(np.cumsum(err[worst]) <= err_total - tol)
-        fits = (_MAX_EVALS - evals) // 30
-        if fits < 1:
-            raise QuadratureBudgetExceeded(
-                f"quadrature budget of {_MAX_EVALS} evaluations exhausted "
-                f"(error estimate {err_total:.3e} > {tol:.3e})",
-                value=sum(val.tolist()),
-                error=float(err_total),
-            )
-        split = np.sort(worst[:min(count, fits)])
-        mid = 0.5 * (pts[split] + pts[split + 1])
-        v, e = _panels(f, np.concatenate([pts[split], mid]), np.concatenate([mid, pts[split + 1]]))
-        evals += 15 * len(v)
-        val[split], err[split] = v[:len(split)], e[:len(split)]
-        val = np.insert(val, split + 1, v[len(split):])
-        err = np.insert(err, split + 1, e[len(split):])
-        pts = np.insert(pts, split + 1, mid)
+    values = []
+    for target in (tol, tol / 10):
+        while (err_total := err.sum()) > target:
+            live = np.flatnonzero(np.diff(pts) >= width_floor)
+            if not live.size:
+                break
+            worst = live[np.argsort(-err[live], kind="stable")]
+            count = 1 + np.count_nonzero(np.cumsum(err[worst]) <= err_total - target)
+            fits = (_MAX_EVALS - evals) // 30
+            if fits < 1:
+                raise QuadratureBudgetExceeded(
+                    f"quadrature budget of {_MAX_EVALS} evaluations exhausted "
+                    f"(error estimate {err_total:.3e} > {target:.3e})",
+                    value=sum(val.tolist()),
+                    error=float(err_total),
+                )
+            split = np.sort(worst[:min(count, fits)])
+            mid = 0.5 * (pts[split] + pts[split + 1])
+            v, e = _panels(f, np.concatenate([pts[split], mid]),
+                           np.concatenate([mid, pts[split + 1]]))
+            evals += 15 * len(v)
+            val[split], err[split] = v[:len(split)], e[:len(split)]
+            val = np.insert(val, split + 1, v[len(split):])
+            err = np.insert(err, split + 1, e[len(split):])
+            pts = np.insert(pts, split + 1, mid)
+        values.append(sum(val.tolist()))
 
-    return QuadResult(value=sum(val.tolist()), error=sum(err.tolist()), evals=evals - spent,
-                      panels=len(val), _pts=pts, _val=val, _err=err, _spent=evals)
+    coarse, value = values
+    return QuadResult(value=value, error=sum(err.tolist()) + abs(value - coarse),
+                      evals=evals, panels=len(val))

@@ -23,7 +23,6 @@ from trinotool.factor import (
     _mod_mul,
     _mod_sub,
     _monic,
-    factor_mod_prime,
     factorize,
     integer_kth_root,
     is_irreducible,
@@ -446,11 +445,10 @@ def test_mod_p_consistency(rng):
         if p.degree < 2 or p.coeffs[0] == 0:
             continue
         for prime in (5, 7, 11, 13):
-            try:
-                _, factors = factor_mod_prime(p, prime)
-            except ValueError:
+            f = _mod(list(p.coeffs), prime)
+            if len(f) != len(p.coeffs) or not _gf_is_squarefree(f, prime):
                 continue
-            if len(factors) == 1:
+            if len(_gf_factors(f, prime)) == 1:
                 assert is_irreducible(p).verdict == "irreducible", (p.coeffs, prime)
                 checked += 1
                 break
@@ -459,6 +457,8 @@ def test_mod_p_consistency(rng):
 
 
 def test_factor_mod_prime_matches_sympy_degrees(rng):
+    # _gf_factors, as the deleted factor_mod_prime ran it: p prime, p not
+    # dividing the leading coefficient and f squarefree mod p
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     checked = 0
@@ -468,13 +468,13 @@ def test_factor_mod_prime_matches_sympy_degrees(rng):
         a, b = rng.choice([-4, -3, -2, 2, 3, 4, 5]), rng.choice([-1, 1, 2])
         poly = tri(n, m, a, b)
         for p in (5, 7, 11):
-            try:
-                _, factors = factor_mod_prime(poly, p)
-            except ValueError:  # not squarefree mod p
+            fp = _mod(list(poly.coeffs), p)
+            if len(fp) != len(poly.coeffs) or not _gf_is_squarefree(fp, p):
                 continue
+            factors = _gf_factors(fp, p)
             expr = x**n + a * x**m + b
             _, theirs = sympy.Poly(expr, x, modulus=p).factor_list()
-            assert sorted(f.degree for f in factors) == sorted(
+            assert sorted(len(g) - 1 for g in factors) == sorted(
                 f.degree() for f, mult in theirs for _ in range(mult)), (n, m, a, b, p)
             checked += 1
 
@@ -483,13 +483,6 @@ def test_lift_rejects_non_divisor():
     # x + 1 does not divide x^2 + 1 mod 7 (remainder 2)
     with pytest.raises(InternalVerificationFailure):
         _FactorTree([1, 0, 1], [[1, 1], [1, 1]], 7)
-
-
-def test_factor_mod_prime_validates():
-    with pytest.raises(ValueError):
-        factor_mod_prime(IntPolynomial.of([1, 1, 1]), 4)
-    with pytest.raises(ValueError):
-        factor_mod_prime(IntPolynomial.of([1, 0, 5]), 5)  # p | lc
 
 
 def _sympy_factorization(sympy, x, poly):

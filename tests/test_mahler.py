@@ -28,7 +28,7 @@ from trinotool.polycore import (
     normalize,
     to_dense,
 )
-from trinotool.quadrature import DEFAULT_TOL, QuadResult, integrate
+from trinotool.quadrature import DEFAULT_TOL, integrate
 
 
 def random_spec(rng, n_max=20, a_abs_max=8, a_abs_min=1):
@@ -127,11 +127,9 @@ def _jensen_full_circle(spec):
                              + spec.a * np.exp(1j * spec.m * mid) * np.sin(0.5 * spec.m * d))
         return np.log(np.maximum(modulus, 1e-300))
 
-    coarse = integrate(integrand, 0.0, 2 * math.pi, DEFAULT_TOL, bps)
-    fine = integrate(integrand, 0.0, 2 * math.pi, DEFAULT_TOL / 10, start=coarse)
-    return mahler._from_log(fine.value / (2 * math.pi),
-                            (fine.error + abs(fine.value - coarse.value)) / (2 * math.pi),
-                            "jensen", fine.panels)
+    res = integrate(integrand, 0.0, 2 * math.pi, DEFAULT_TOL, bps)
+    return mahler._from_log(res.value / (2 * math.pi), res.error / (2 * math.pi),
+                            "jensen", res.panels)
 
 
 @pytest.mark.parametrize("spec", [
@@ -159,13 +157,13 @@ def test_measure_jensen_half_circle_matches_the_full_circle(spec):
 def test_measure_jensen_takes_the_half_circle_for_real_coefficients(a, b, hi, monkeypatch):
     spans = []
 
-    def spy(f, lo, hi, tol, breakpoints=(), start=None):
+    def spy(f, lo, hi, tol, breakpoints=()):
         spans.append((lo, hi))
-        return integrate(f, lo, hi, tol, breakpoints, start=start)
+        return integrate(f, lo, hi, tol, breakpoints)
 
     monkeypatch.setattr(mahler, "integrate", spy)
     measure_jensen(TrinomialSpec(30, 7, a, b))
-    assert spans == [(0.0, hi), (0.0, hi)]
+    assert spans == [(0.0, hi)]
 
 
 def test_measure_jensen_complex_zero_imaginary_parts_are_real():
@@ -328,37 +326,6 @@ def test_measure_jensen_budget_propagates(monkeypatch):
         measure_jensen(TrinomialSpec(2, 1, 1, 1), tol=0.0)
 
 
-@pytest.mark.parametrize("spec", [(120, 77, 6, -5), (240, 151, -1.827, -0.827)])
-def test_jensen_fine_pass_resumes_the_coarse_panels(spec, monkeypatch):
-    # the tol/10 pass continues from the tol pass's panels, so Jensen makes
-    # fewer integrand rounds than two passes that each start from breakpoints
-    from trinotool import quadrature
-
-    rounds = []
-    panels = quadrature._panels
-
-    def counted(*args):
-        rounds.append(args)
-        return panels(*args)
-
-    monkeypatch.setattr(quadrature, "_panels", counted)
-    passes = []
-
-    def spy(f, lo, hi, tol, breakpoints=(), start=None):
-        passes.append((f, lo, hi, tol, breakpoints))
-        return integrate(f, lo, hi, tol, breakpoints, start=start)
-
-    monkeypatch.setattr(mahler, "integrate", spy)
-    measure_jensen(TrinomialSpec(*spec))
-    resumed = len(rounds)
-    (f, lo, hi, tol, bps), (_, _, _, fine_tol, _) = passes
-    rounds.clear()
-    integrate(f, lo, hi, tol, bps)
-    integrate(f, lo, hi, fine_tol, bps)
-    assert fine_tol == tol / 10
-    assert resumed < len(rounds)
-
-
 def test_series_preconditions():
     with pytest.raises(CoprimalityViolated):
         series_measure(4, 2, 3, 1)
@@ -375,23 +342,6 @@ def test_from_log_bound_keeps_nan_and_adds_rounding_floor():
     r = mahler._from_log(math.log(1e12), 0.0, "series", 1)
     assert r.value == pytest.approx(1e12, rel=1e-15)
     assert r.error_bound == pytest.approx(1e12 * 10 * 2.0**-52 * math.log(1e12), rel=1e-12)
-
-
-def test_jensen_bound_adds_the_gap_between_its_two_passes(monkeypatch):
-    # the coarse pass at tol and the fine one at tol/10 differ by 2 pi * 1e-6 in
-    # the integral: the bound must cover that gap, not only the fine estimate
-    passes = iter([QuadResult(0.0, 1e-12, 15, 1), QuadResult(2 * math.pi * 1e-6, 1e-13, 15, 1)])
-    tols = []
-
-    def fake(f, lo, hi, tol, breakpoints=(), start=None):
-        tols.append(tol)
-        return next(passes)
-
-    monkeypatch.setattr(mahler, "integrate", fake)
-    r = measure_jensen(TrinomialSpec(5, 2, 3, 1), tol=1e-8)
-    assert tols == [1e-8, 1e-9]
-    assert r.log_value == pytest.approx(1e-6, rel=1e-12)
-    assert r.error_bound >= r.value * math.expm1(1e-6)
 
 
 def test_series_divergence_at_unit_limit_ratio():

@@ -169,6 +169,24 @@ def test_limit_within_bound(pair):
     assert miss <= r.error_bound <= 1e-14 * r.value
 
 
+@pytest.mark.parametrize("a, b", [(1e308, 1e308), (9e307, -9e307), (1.7e308, 1.7e308j),
+                                  (8.9e307, 8.9e307)], ids=str)
+def test_limit_near_the_double_range_top(a, b):
+    # unscaled, Kahan's factor x + (y + z) overflows here and the smallest
+    # angle comes out 0.  Oracle: M(x + a y + b) = exp((1/2pi) integral log max(|a|, |e^it + |b||)),
+    # kinked where |e^it + |b|| = |a|; the law-of-cosines integrand of
+    # test_limit_within_bound cancels to 0 at these sizes
+    case, r = limit_case(a, b), limit_measure(a, b)
+    assert case.gamma == math.pi
+    with mpmath.workdps(DPS):
+        ra, rb = mpmath.mpf(abs(a)), mpmath.mpf(abs(b))
+        kink = mpmath.acos(((ra - rb) * (ra + rb) - 1) / (2 * rb))
+        val = mpmath.quad(lambda t: mpmath.log(max(ra, abs(mpmath.expj(t) + rb))),
+                          [-mpmath.pi, -kink, kink, mpmath.pi])
+        miss = abs(mpmath.exp(val / (2 * mpmath.pi)) - r.value)
+    assert miss <= r.error_bound <= 1e-14 * r.value
+
+
 def test_limit_at_one_one_is_smyths_constant():
     # m(1 + x + y) = (3 sqrt 3 / 4 pi) L(chi_-3, 2) (Smyth, Bull. Austral. Math.
     # Soc. 23 (1981)), with L(chi_-3, 2) = (zeta(2, 1/3) - zeta(2, 2/3)) / 9
