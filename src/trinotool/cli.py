@@ -50,10 +50,15 @@ def _num(text: str):
 
 
 def _int_list(text: str) -> list[int]:
+    """argparse type: one or more comma-separated ints; empty entries are
+    skipped, and a list with none left is refused."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    return values
 
 
 def _positive(cast):

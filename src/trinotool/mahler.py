@@ -132,21 +132,24 @@ def house(p: Union[TrinomialSpec, IntPolynomial]) -> float:
     return polycore.all_roots(p).max_modulus()
 
 
-def _circle_modulus(spec: TrinomialSpec, t):
-    """|P(e^it)| for P = z^n + a z^m + b, elementwise over the array t."""
-    return np.abs(np.exp(1j * spec.n * t) + spec.a * np.exp(1j * spec.m * t) + spec.b)
+def _circle_modulus(spec: TrinomialSpec, t, scale: float = 1.0):
+    """scale |P(e^it)| for P = z^n + a z^m + b, elementwise over the array t."""
+    return np.abs(scale * np.exp(1j * spec.n * t) + scale * spec.a * np.exp(1j * spec.m * t)
+                  + scale * spec.b)
 
 
-def _circle_breakpoints(spec: TrinomialSpec) -> tuple[float, ...]:
+def _circle_breakpoints(spec: TrinomialSpec, scale: float = 1.0) -> tuple[float, ...]:
     """Uniform angles plus the 2n angles t = (arg b +- acos c + 2 pi k) / n where
     |e^int + b| = |a|, c = (|a|^2 - 1 - |b|^2) / (2|b|) clamped to [-1, 1].
     |P(e^it)| >= ||e^int + b| - |a||, so every zero on the circle is one of these;
-    for |c| > 1 they are the closest approach.  Kept where that bound is < 0.75."""
-    n, ra, rb = spec.n, float(abs(spec.a)), float(abs(spec.b))
-    c = ((ra - rb) * (ra + rb) - 1.0) / (2.0 * rb)
+    for |c| > 1 they are the closest approach.  Kept where that bound is < 0.75.
+    The moduli are taken of scale P, so that |a| + |b| does not overflow."""
+    n, ra, rb = spec.n, scale * float(abs(spec.a)), scale * float(abs(spec.b))
+    c = ((ra - rb) * (ra + rb) - scale * scale) / (2.0 * scale * rb)
     phi = cmath.phase(spec.b) + math.acos(min(1.0, max(-1.0, c))) * np.array([[1.0], [-1.0]])
     dips = ((phi + 2 * math.pi * np.arange(n)) / n % (2 * math.pi)).ravel()
-    dips = dips[np.abs(np.abs(np.exp(1j * n * dips) + spec.b) - ra) < 0.75]
+    dips = dips[np.abs(np.abs(scale * np.exp(1j * n * dips) + scale * spec.b) - ra)
+                < 0.75 * scale]
     uniform = np.linspace(0.0, 2 * math.pi, max(9, n + 1))[1:-1]
     return tuple(sorted(set(dips.tolist()) | set(uniform.tolist())))
 
@@ -164,25 +167,29 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
     zeros still come from all of them, so a zero at pi has its formula at
     that endpoint.  Complex a or b takes the whole circle.
 
+    |P| <= 1 + |a| + |b|.  Where that sum overflows, near the top of the double
+    range, every modulus is taken of P / 4 and log 4 is added back to log M.
+
     integrate refines to tol and on to tol/10, and its error adds the gap
     between the two values to the finer panel estimate: on a sharp dip of |P|
     without a zero the panel estimate alone can understate the error.
     """
     require_float(spec.a, spec.b)
-    bps = _circle_breakpoints(spec)
+    scale = 1.0 if math.isfinite(1 + abs(spec.a) + abs(spec.b)) else 0.25
+    bps = _circle_breakpoints(spec, scale)
     theta = np.array(bps)
-    floor = 8 * _EPS * (1 + abs(spec.a) + abs(spec.b))
-    zeros = theta[_circle_modulus(spec, theta) <= floor]
+    floor = 8 * _EPS * (scale + scale * abs(spec.a) + scale * abs(spec.b))
+    zeros = theta[_circle_modulus(spec, theta, scale) <= floor]
 
     def modulus(t):
         if not zeros.size:
-            return _circle_modulus(spec, t)
+            return _circle_modulus(spec, t, scale)
         d = math.pi - (math.pi - (t[:, None] - zeros)) % (2 * math.pi)
         near = np.argmin(np.abs(d), axis=1)
         d = d[np.arange(len(t)), near]
         mid = zeros[near] + 0.5 * d
-        return 2 * np.abs(np.exp(1j * spec.n * mid) * np.sin(0.5 * spec.n * d)
-                          + spec.a * np.exp(1j * spec.m * mid) * np.sin(0.5 * spec.m * d))
+        return 2 * np.abs(scale * np.exp(1j * spec.n * mid) * np.sin(0.5 * spec.n * d)
+                          + scale * spec.a * np.exp(1j * spec.m * mid) * np.sin(0.5 * spec.m * d))
 
     # the half circle of real coefficients counts twice; integrate keeps the
     # breakpoints inside [0, hi]
@@ -193,7 +200,8 @@ def measure_jensen(spec: TrinomialSpec, tol: float = DEFAULT_TOL) -> MeasureResu
         return weight * np.log(np.maximum(modulus(t), 1e-300))
 
     res = integrate(integrand, 0.0, hi, tol, breakpoints=bps)
-    return _from_log(res.value / (2 * math.pi), res.error / (2 * math.pi), "jensen", res.panels)
+    return _from_log(res.value / (2 * math.pi) - math.log(scale), res.error / (2 * math.pi),
+                     "jensen", res.panels)
 
 
 def limit_case(a: complex, b: complex) -> LimitCase:

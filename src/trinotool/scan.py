@@ -45,10 +45,11 @@ A cell's measure is therefore the leader's, and its house is max|z| or
 1/min|z| over the leader's roots, as its move has no reversal or one.  An
 error of the leader's factorization or solve is every cell's record.
 
-Orbits go to a process pool; completed records are appended to the cache one
-line at a time and the emitted output is sorted canonically, so runs are
-deterministic regardless of the worker count, and an interrupted scan resumes
-from the cache.
+Both moves keep n, so the scan goes one degree at a time, its orbits to a
+process pool; records are appended to the cache one line at a time, and only
+the reported ones are kept.  So runs are deterministic regardless of the worker
+count, an interrupted scan resumes from the cache, and memory holds one or two
+degrees' work plus the report.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, pairwise
 from math import gcd, isnan
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import factor, mahler, polycore
 from .errors import ConvergenceFailure, InternalVerificationFailure
@@ -217,27 +219,20 @@ def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
     return _scan_orbit((item,))[0]
 
 
-def _work_items(n_max: int, a_values: Iterable[int], signs: Iterable[int],
-                coprime_only: bool) -> list[tuple[int, int, int, int]]:
-    """The grid's cells in canonical order: by n, then m, then |a| with the
-    negative a first, then b."""
+def _degrees(n_max: int, a_values: Iterable[int], signs: Iterable[int],
+             coprime_only: bool) -> Iterator[list[tuple[int, int, int, int]]]:
+    """Each degree's cells in canonical order: by n, then m, then |a| with the
+    negative a first, then b.  A degree's cells are built when it is reached."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     a_sorted = sorted(set(int(a) for a in a_values), key=lambda a: (abs(a), a))
-    if 0 in a_sorted:
-        raise ValueError("a = 0 is not a trinomial")
+    if not a_sorted or 0 in a_sorted:
+        raise ValueError("a must be a nonempty set of nonzero integers")
     b_sorted = sorted(set(int(b) for b in signs))
-    if any(b not in (-1, 1) for b in b_sorted):
-        raise ValueError("signs must be +/-1")
-    items = []
-    for n in range(3, n_max + 1):
-        for m in range(1, n):
-            if coprime_only and gcd(m, n) != 1:
-                continue
-            for a in a_sorted:
-                for b in b_sorted:
-                    items.append((n, m, a, b))
-    return items
+    if not b_sorted or any(b not in (-1, 1) for b in b_sorted):
+        raise ValueError("signs must be a nonempty set of +/-1")
+    return ([(n, m, a, b) for m in range(1, n) if not coprime_only or gcd(m, n) == 1
+             for a in a_sorted for b in b_sorted] for n in range(3, n_max + 1))
 
 
 def record_to_dict(rec: ScanRecord, include_elapsed: bool = True) -> dict:
@@ -287,10 +282,13 @@ def record_from_dict(d: dict) -> ScanRecord:
                       measure=measure, house=house, elapsed=float(elapsed), error=error)
 
 
-def _load_cache(path: str) -> dict[tuple[int, int, int, int], ScanRecord]:
-    cached: dict[tuple[int, int, int, int], ScanRecord] = {}
-    if not path or not os.path.exists(path):
-        return cached
+def _load_cache(path: str) -> tuple[set[tuple[int, int, int, int]],
+                                    dict[tuple[int, int, int, int], ScanRecord]]:
+    """The keys of the cells cached in path, and the cached records that a
+    scan reports: the reducible and the errored ones.  A cell's last line wins."""
+    keys, reported = set(), {}
+    if not os.path.exists(path):
+        return keys, reported
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -300,52 +298,69 @@ def _load_cache(path: str) -> dict[tuple[int, int, int, int], ScanRecord]:
                 rec = record_from_dict(json.loads(line))
             except (ValueError, KeyError, TypeError):
                 continue  # a torn final line, or JSON that is not a record: recompute
-            cached[rec.key] = rec
-    return cached
+            keys.add(rec.key)
+            if rec.reducible or rec.error:
+                reported[rec.key] = rec
+            else:
+                reported.pop(rec.key, None)
+    return keys, reported
 
 
 def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = (-1, 1),
                     coprime_only: bool = True, threads: int = 1,
                     cache_path: str | None = None) -> list[ScanRecord]:
     """Scan every (n <= n_max, 0 < m < n, a, b) cell and return the reducible
-    (and errored) records in work-item order, the canonical order (see
-    _work_items), whatever the thread count or cache.
+    (and errored) records in the canonical order (see _degrees), whatever the
+    thread count or cache.  Degree n + 1 is queued before degree n is drained,
+    so that a pool does not idle at a degree's end.
 
     All completed records, including irreducible ones, are appended to the
     cache file when one is given; a rerun with the same cache skips finished
     cells and reproduces the same record set.  ``threads`` is the number of
-    worker processes (>= 1).
+    worker processes (>= 1), capped at the pending orbits; one needs no pool.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    items = _work_items(n_max, a_values, signs, coprime_only)
-    cached = _load_cache(cache_path) if cache_path else {}
-    pending = [it for it in items if it not in cached]
-
-    records: dict[tuple[int, int, int, int], ScanRecord] = dict(cached)
+    degrees = _degrees(n_max, a_values, signs, coprime_only)
+    cached, reported = _load_cache(cache_path) if cache_path else (set(), {})
+    # each degree's cached rows and its pending orbits
+    work = (([reported[c] for c in cells if c in reported],
+             _orbits([c for c in cells if c not in cached])) for cells in degrees)
+    # the pool size reads the pending orbits, counted only up to threads
+    head, count = [], 0
+    for rows, orbits in work:
+        head.append((rows, orbits))
+        count += len(orbits)
+        if count >= threads:
+            break
+    workers = min(threads, count)
+    hits: list[ScanRecord] = []
 
     with ExitStack() as stack:
         cache_fh = (stack.enter_context(open(cache_path, "a", encoding="utf-8"))
                     if cache_path else None)
-        orbits = _orbits(pending)
-        if threads > 1 and len(orbits) > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             # numpy loads on first use (polycore.np): load it here, once, so
             # the forked workers inherit it rather than each loading its own
             polycore.np.ndarray  # noqa: B018
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=min(threads, len(orbits))))
-            results = pool.map(_scan_orbit, orbits, chunksize=2)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            run = partial(pool.map, _scan_orbit, chunksize=2)
         else:
-            results = map(_scan_orbit, orbits)
-        for rec in chain.from_iterable(results):
-            records[rec.key] = rec
-            if cache_fh:
-                cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
-                cache_fh.flush()
+            run = partial(map, _scan_orbit)
+        queued = ((rows, run(orbits)) for rows, orbits in chain(head, work))
+        # pairwise has queued degree n + 1 when degree n is drained
+        for (rows, results), _ in pairwise(chain(queued, [None])):
+            for rec in chain.from_iterable(results):
+                if rec.reducible or rec.error:
+                    rows.append(rec)
+                if cache_fh:
+                    cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
+                    cache_fh.flush()
+            hits.extend(sorted(rows, key=lambda r: (r.m, abs(r.a), r.a, r.b)))
 
-    return [r for r in (records[it] for it in items) if r.reducible or r.error]
+    return hits
 
 
 def _m_for_rule(n: int, m_rule: str) -> int:

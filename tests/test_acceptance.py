@@ -135,6 +135,25 @@ def test_criterion_05_conjecture_scan(tmp_path):
     _report(5, "exactly the 16 listed reducible trinomials; none for |a| in 5..8", t0)
 
 
+def test_every_height_scan_to_16():
+    # every height at n <= 16: 3|a| >= n^2 = 256 certifies |a| >= 86
+    # irreducible, so 2 <= |a| <= 85 covers every reducible x^n + a x^m +/- 1
+    # with gcd(m, n) = 1.  Its |a| >= 3 rows are the listed ones; every row's
+    # factor degrees are sympy's
+    sympy = pytest.importorskip("sympy")
+    t0 = time.perf_counter()
+    rows = scan_conjecture(16, [a for a in range(-85, 86) if abs(a) >= 2], (-1, 1),
+                           threads=2)
+    assert len(rows) == 176
+    assert {r.key for r in rows if abs(r.a) >= 3} == CONJECTURE_LIST
+    x = sympy.Symbol("x")
+    for r in rows:
+        _, factors = sympy.factor_list(x**r.n + r.a * x**r.m + r.b, x)
+        degrees = sorted(sympy.degree(g, x) for g, k in factors for _ in range(k))
+        assert (r.reducible, r.error, list(r.factor_degrees)) == (True, None, degrees), r
+    _report(5, "every height to n <= 16: 176 rows, the |a| >= 3 ones listed", t0)
+
+
 def test_criterion_06_threshold_consistency():
     t0 = time.perf_counter()
     cells = 0

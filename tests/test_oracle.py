@@ -187,6 +187,16 @@ def test_limit_near_the_double_range_top(a, b):
     assert miss <= r.error_bound <= 1e-14 * r.value
 
 
+@pytest.mark.parametrize("n, m, a, b", [(3, 1, 9e307, 9e307), (3, 1, 1e308, 1e308),
+                                        (3, 1, 1e308j, 1e308), (4, 1, -1.2e308, 6e307j)],
+                         ids=str)
+def test_jensen_near_the_double_range_top(n, m, a, b):
+    # 1 + |a| + |b| overflows here: unscaled, the zero floor was infinite, so
+    # every breakpoint read as a zero, and (3, 1, 9e307, 9e307) gave 1.3e307
+    r = measure_jensen(TrinomialSpec(n, m, a, b))
+    assert abs(mp_measure(n, m, a, b)[0] - r.value) <= r.error_bound <= 1e-9 * r.value
+
+
 def test_limit_at_one_one_is_smyths_constant():
     # m(1 + x + y) = (3 sqrt 3 / 4 pi) L(chi_-3, 2) (Smyth, Bull. Austral. Math.
     # Soc. 23 (1981)), with L(chi_-3, 2) = (zeta(2, 1/3) - zeta(2, 2/3)) / 9

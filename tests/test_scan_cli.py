@@ -1,10 +1,12 @@
 import argparse
+import gc
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,11 @@ def test_scan_rejects_bad_input():
         scan_conjecture(5, [0, 3])
     with pytest.raises(ValueError):
         scan_conjecture(5, [3], signs=[2])
+    # an empty a or signs set scans no cell: refused, not reported complete
+    with pytest.raises(ValueError):
+        scan_conjecture(5, [])
+    with pytest.raises(ValueError):
+        scan_conjecture(5, [3], signs=[])
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -97,6 +104,12 @@ def test_scan_cache_resume(tmp_path):
     assert len(cached_after) == len(lines)
 
 
+def _cells(n_max, a_values, signs, coprime_only):
+    # the whole grid's cells in canonical order, one degree after another
+    return [cell for cells in scan._degrees(n_max, a_values, signs, coprime_only)
+            for cell in cells]
+
+
 def _cache_records(cache):
     with open(cache) as fh:
         return [record_from_dict(json.loads(line)) for line in fh if line.strip()]
@@ -130,7 +143,7 @@ def test_scan_orbits_match_per_cell_factoring(tmp_path):
     # sqrt(eps), so there the two solves need agree only within the error
     # bounds of the cell's own solve
     args = (16, [-2, 1, 2, 3], (-1, 1))
-    items = scan._work_items(*args, coprime_only=False)
+    items = _cells(*args, coprime_only=False)
     assert {len(o) for o in scan._orbits(items)} == {1, 2, 3, 4}
     cache = str(tmp_path / "cache.jsonl")
     scan_conjecture(*args, coprime_only=False, cache_path=cache)
@@ -159,7 +172,7 @@ def test_orbit_cells_are_the_mapped_first_cell():
     # the cells of an orbit and the map of its factors follow one rule; on a
     # resumed pending list (every other cell) an orbit holds only its pending
     # cells, all under one leader, and starts with the first of them
-    items = scan._work_items(24, [-4, -3, -2, -1, 1, 2, 3, 4], (-1, 1), coprime_only=False)
+    items = _cells(24, [-4, -3, -2, -1, 1, 2, 3, 4], (-1, 1), coprime_only=False)
     for pending in (items, items[::2]):
         position = {cell: i for i, cell in enumerate(pending)}
         orbits = scan._orbits(pending)
@@ -180,7 +193,7 @@ def test_orbit_cells_are_the_mapped_first_cell():
 def test_orbits_build_no_polynomial(monkeypatch):
     # the orbits are read off the cells' tuples: no dense polynomial is
     # built or mapped to find a cell
-    items = scan._work_items(16, [-3, -2, 2, 3], (-1, 1), coprime_only=False)
+    items = _cells(16, [-3, -2, 2, 3], (-1, 1), coprime_only=False)
 
     def refuse(*args):
         raise AssertionError("a polynomial was built to find an orbit")
@@ -230,7 +243,7 @@ def test_scan_records_equal_one_cell_records(a_values):
     # with a of one sign, the leader of an orbit may lie outside the scanned
     # cells; every record is still compute_scan_record's, measure and house
     # bit for bit (record equality compares every field but elapsed)
-    items = scan._work_items(10, a_values, (-1, 1), coprime_only=True)
+    items = _cells(10, a_values, (-1, 1), coprime_only=True)
     if a_values == [3]:
         assert any(min(_orbit_of(*item)) not in items for item in items)
     records = {}
@@ -257,7 +270,7 @@ def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
     cache = str(tmp_path / "cache.jsonl")
     hits = scan_conjecture(9, [-3, 3], cache_path=cache)
     records = {r.key: r for r in _cache_records(cache)}
-    assert len(records) == len(scan._work_items(9, [-3, 3], (-1, 1), True))
+    assert len(records) == len(_cells(9, [-3, 3], (-1, 1), True))
     for key, rec in records.items():
         if key in _orbit_of(*failing):
             assert (rec.reducible, rec.factor_degrees, rec.certificate) == (False, (), "error")
@@ -304,6 +317,32 @@ def test_scan_cache_resume_split_orbits(tmp_path):
     assert len(keys) == len(set(keys)) == len(lines)
 
 
+def test_scan_drops_each_degrees_irreducible_records(monkeypatch):
+    # no orbit spans two degrees, so a degree's irreducible records are
+    # dropped once it is done: when the first orbit of degree n is scanned,
+    # none of degree n - 2 or lower is still alive (one of degree n - 1 may
+    # be, in a loop variable)
+    alive = []
+    seen = set()
+    scan_orbit = scan._scan_orbit
+
+    def spy(orbit):
+        n = orbit[0][0]
+        if n not in seen:
+            seen.add(n)
+            gc.collect()
+            stale = [r.key for r in (ref() for ref in alive) if r and r.n <= n - 2]
+            assert stale == []
+        records = scan_orbit(orbit)
+        alive.extend(weakref.ref(r) for r in records if not r.reducible and not r.error)
+        return records
+
+    monkeypatch.setattr(scan, "_scan_orbit", spy)
+    hits = scan_conjecture(12, [-3, -2, 2, 3])
+    assert seen == set(range(3, 13)) and len(alive) > 100
+    assert hits and all(r.reducible for r in hits)
+
+
 def test_record_json_round_trip():
     rec = compute_scan_record((8, 3, 3, -1))
     parsed = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
@@ -338,7 +377,7 @@ def test_scan_pool_is_capped_at_the_orbit_count(tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
     clean = scan_conjecture(*args, cache_path=str(cache))
     assert sizes == []
-    orbits = scan._orbits(scan._work_items(*args, (-1, 1), True))
+    orbits = scan._orbits(_cells(*args, (-1, 1), True))
     assert scan_conjecture(*args, threads=2) == clean
     assert scan_conjecture(*args, threads=len(orbits) + 5) == clean
     assert sizes == [2, len(orbits)]
@@ -576,6 +615,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_dispatch(["nope"]) == 2
     # missing required option
     assert cli_dispatch(["scan", "--a", "3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--n-max", "5", "--a", ","),
+    ("scan", "--n-max", "5", "--a", "3", "--signs", ","),
+    ("scan", "--n-max", "5", "--a", " , "),
+    ("converge", "--a", "3", "--b", "1", "--n", ","),
+], ids=str)
+def test_cli_refuses_an_empty_int_list(argv, tmp_path, capsys):
+    # a list with no entry is a usage error, not an empty scan or table
+    assert cli_dispatch([*argv, "--out", str(tmp_path / "out.txt")]) == 2
+    assert "not a comma-separated int list" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("argv, rc", [
