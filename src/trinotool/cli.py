@@ -35,8 +35,9 @@ from .polycore import (
     to_dense,
 )
 
-# let tokens like "-4,-3,3,4" or "-1+2j" pass as values, not option names
-_NEGATIVE_VALUE = re.compile(r"^-\d[\d,.j+-]*$")
+# a dash and a digit, or a dash, a dot and a digit, start a value ("-1e3",
+# "-.5", "-4,-3,3,4", "-1+2j"), never an option name: its type parses it
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
 def _num(text: str):
@@ -80,8 +81,6 @@ def _jsonable(value):
         if value.imag == 0:
             return value.real
         return str(value)
-    if isinstance(value, tuple):
-        return list(value)
     return value
 
 
@@ -244,8 +243,7 @@ def _cmd_limit(args, envelope) -> list[dict]:
 
 
 def _cmd_series(args, envelope) -> list[dict]:
-    result = mahler.series_measure(args.n, args.m, args.a, args.b,
-                                   k_max=args.kmax, **_tol(args))
+    result = mahler.series_measure(args.n, args.m, args.a, args.b, **_tol(args))
     records = [_measure_record(result)]
     if args.trace:
         records.extend(
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("series", _cmd_series, tolerance,
             help="exact-series measure (needs |a|-|b| >= 1)")
     spec_args(p, _num)
-    p.add_argument("--kmax", type=_positive(int), default=10000)
     p.add_argument("--trace", action="store_true", help="emit every series term")
 
     p = add("bounds", _cmd_bounds, help="house lower bound report for a family form")

@@ -388,9 +388,6 @@ def _gf_edf(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
         u = _trim(u)
         if _deg(u) < 1:
             continue
-        g = _gf_gcd(u, f, p)
-        if 0 < _deg(g) < n:
-            break
         w = _gf_pow_mod(u, exponent, f, p)
         w = _mod_sub(w, [1], p)
         g = _gf_gcd(w, f, p)

@@ -29,6 +29,7 @@ from .polycore import IntPolynomial, RootSet, TrinomialSpec, np, require_float
 from .quadrature import DEFAULT_TOL, integrate
 
 _EPS = math.ulp(1.0)
+_MAX_TERMS = 10000  # series terms summed before the series stops with its tail bound
 
 __all__ = [
     "MeasureResult",
@@ -384,10 +385,11 @@ def _term_parts(k: int, n: int, m: int, a: complex, b: complex) -> tuple[float, 
 
 
 def series_measure(n: int, m: int, a: complex, b: complex,
-                   tol: float = 1e-12, k_max: int = 10000) -> MeasureResult:
-    """Exact-series evaluation of log M, truncated at |term| < tol or k_max.
+                   tol: float = 1e-12) -> MeasureResult:
+    """Exact-series evaluation of log M, truncated at |term| < tol or after
+    _MAX_TERMS terms.
 
-    Requires gcd(m, n) = 1, |a| - |b| >= 1 and k_max >= 1.  With N = kn,
+    Requires gcd(m, n) = 1 and |a| - |b| >= 1.  With N = kn,
     K = km, L = k(n-m) and theta = m^m (n-m)^(n-m) / n^n, Robbins' Stirling
     bounds (Amer. Math. Monthly 62 (1955)) put C(N, K) theta^k between
     exp(1/(12N+1) - 1/(12K) - 1/(12L)) and exp(1/(12N) - 1/(12K+1) - 1/(12L+1))
@@ -398,8 +400,6 @@ def series_measure(n: int, m: int, a: complex, b: complex,
     rho <= 1, with equality only at |a| = n/m, |b| = (n-m)/m, where the terms
     decay like k^(-3/2): a rho of 1 to rounding raises DivergenceDetected.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     _check_series_domain(n, m, a, b)
     parts = (n * math.log(n), -m * math.log(m), -(n - m) * math.log(n - m),
              (n - m) * math.log(abs(b)), -n * math.log(abs(a)))
@@ -410,7 +410,7 @@ def series_measure(n: int, m: int, a: complex, b: complex,
             f"to rounding: the terms decay like k^(-3/2)")
     total = 0.0
     terms: list[SeriesTerm] = []
-    for k in range(1, k_max + 1):
+    for k in range(1, _MAX_TERMS + 1):
         env, cosf = _term_parts(k, n, m, a, b)
         sign = -1.0 if (k * n) % 2 else 1.0
         s_k = sign * env * cosf / (k * m)

@@ -323,13 +323,12 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
         raise ValueError(f"threads must be >= 1, got {threads}")
     degrees = _degrees(n_max, a_values, signs, coprime_only)
     cached, reported = _load_cache(cache_path) if cache_path else (set(), {})
-    # each degree's cached rows and its pending orbits
-    work = (([reported[c] for c in cells if c in reported],
-             _orbits([c for c in cells if c not in cached])) for cells in degrees)
+    # each degree's cells and its pending orbits
+    work = ((cells, _orbits([c for c in cells if c not in cached])) for cells in degrees)
     # the pool size reads the pending orbits, counted only up to threads
     head, count = [], 0
-    for rows, orbits in work:
-        head.append((rows, orbits))
+    for cells, orbits in work:
+        head.append((cells, orbits))
         count += len(orbits)
         if count >= threads:
             break
@@ -349,16 +348,16 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
             run = partial(pool.map, _scan_orbit, chunksize=2)
         else:
             run = partial(map, _scan_orbit)
-        queued = ((rows, run(orbits)) for rows, orbits in chain(head, work))
+        queued = ((cells, run(orbits)) for cells, orbits in chain(head, work))
         # pairwise has queued degree n + 1 when degree n is drained
-        for (rows, results), _ in pairwise(chain(queued, [None])):
+        for (cells, results), _ in pairwise(chain(queued, [None])):
             for rec in chain.from_iterable(results):
                 if rec.reducible or rec.error:
-                    rows.append(rec)
+                    reported[rec.key] = rec
                 if cache_fh:
                     cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
                     cache_fh.flush()
-            hits.extend(sorted(rows, key=lambda r: (r.m, abs(r.a), r.a, r.b)))
+            hits.extend(reported[c] for c in cells if c in reported)
 
     return hits
 

@@ -358,21 +358,16 @@ def test_series_term_envelope_decreasing():
     assert all(x >= y for x, y in zip(mags[2:], mags[3:]))
 
 
-@pytest.mark.parametrize("k_max", [0, -5])
-def test_series_rejects_nonpositive_k_max(k_max):
-    with pytest.raises(ValueError):
-        series_measure(5, 2, 3, 1, k_max=k_max)
-
-
-def test_series_short_cut_bound_covers_error():
+def test_series_short_cut_bound_covers_error(monkeypatch):
     # the first term ratios of z^5 + 3z^2 + 1 are still rising toward rho, so a
-    # tail taken from the last observed ratio under-covered at k_max = 2 and 3
+    # tail taken from the last observed ratio under-covered at K = 2 and 3 terms
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         true = float(mpmath.fprod(max(1, abs(z)) for z in mpmath.polyroots([1, 0, 0, 3, 0, 1])))
-    for k_max in (1, 2, 3):
-        r = series_measure(5, 2, 3, 1, k_max=k_max)
-        assert len(r.terms) == k_max
+    for k in (1, 2, 3):
+        monkeypatch.setattr(mahler, "_MAX_TERMS", k)
+        r = series_measure(5, 2, 3, 1)
+        assert len(r.terms) == k
         assert abs(r.value - true) <= r.error_bound < 1e-2
 
 

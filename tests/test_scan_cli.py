@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from trinotool import factor, mahler, polycore, scan
-from trinotool.cli import _Output, cli_dispatch
+from trinotool.cli import _num, _Output, cli_dispatch
 from trinotool.errors import ConvergenceFailure
 from trinotool.polycore import TrinomialSpec, to_dense
 from trinotool.scan import (
@@ -394,7 +394,8 @@ def test_scan_pool_is_capped_at_the_orbit_count(tmp_path, monkeypatch):
 
 def test_scan_cache_skips_json_that_is_not_a_record(tmp_path, capsys):
     # valid JSON lines that are not records are skipped like a torn line,
-    # and their cells recomputed: the report is a fresh scan's
+    # and their cells recomputed, and blank lines are skipped: the report is
+    # a fresh scan's
     argv = ("scan", "--n-max", "9", "--a", "-3,3", "--format", "json")
     cache = tmp_path / "cache.jsonl"
     rc, fresh = run_cli(tmp_path, *argv)
@@ -404,7 +405,7 @@ def test_scan_cache_skips_json_that_is_not_a_record(tmp_path, capsys):
     hit = next(i for i, line in enumerate(lines) if json.loads(line)["reducible"])
     broken = {**json.loads(lines[hit]), "factor_degrees": None}
     lines[hit] = json.dumps(broken)
-    cache.write_text("\n".join(["[]", "7", *lines]) + "\n")
+    cache.write_text("\n".join(["[]", "7", "", " \t ", *lines]) + "\n")
     capsys.readouterr()
     assert run_cli(tmp_path, *argv, "--cache", str(cache)) == (0, fresh)
     assert "scan" in json.loads(capsys.readouterr().err)
@@ -733,9 +734,39 @@ def test_cli_tolerance_must_be_positive_finite(value):
                          "--tolerance", value]) == 2
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_cli_series_kmax_must_be_positive(value):
-    assert cli_dispatch(["series", "5", "2", "3", "1", "--kmax", value]) == 2
+# each value once stopped argparse with "the following arguments are required"
+@pytest.mark.parametrize("argv, value", [
+    (("house", "3", "1", "-1e3", "1"), "-1e3"),
+    (("limit", "2", "-.5"), "-.5"),
+    (("measure", "5", "2", "3", "-2.5E1", "--method", "jensen"), "-2.5E1"),
+    (("converge", "--a", "-1e3", "--b", "1", "--n", "5"), "-1e3"),
+    (("converge", "--a", "3", "--b", "-.5", "--n", "5"), "-.5"),
+    # roots overflow here, a NaN refused with exit 1 however a is written
+    (("measure", "60", "59", "-1e6", "-1", "--method", "jensen"), "-1e6"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cli_reads_every_negative_number_form(argv, value, fmt, tmp_path):
+    # a dash and a digit, or a dash, a dot and a digit, is a value: the
+    # command prints what it prints for the float _num reads, in every format
+    plain = [str(_num(value)) if arg == value else arg for arg in argv]
+    assert plain != list(argv)
+    rc, text = run_cli(tmp_path, *argv, "--format", fmt)
+    assert rc == 0 and text
+    assert run_cli(tmp_path, *plain, "--format", fmt) == (0, text)
+
+
+def test_cli_refuses_a_negative_value_that_is_no_number(capsys):
+    assert cli_dispatch(["house", "3", "1", "-1x", "1"]) == 2
+    assert "not a number: '-1x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, shown", [("3+1j", "(3+1j)"), ("3+0j", 3.0)])
+def test_cli_json_writes_a_complex_coefficient(a, shown, tmp_path):
+    # a complex with an imaginary part is its str; one without is its real part
+    rc, text = run_cli(tmp_path, "measure", "5", "2", a, "1", "--format", "json")
+    assert rc == 0
+    a_out = json.loads(text)["config"]["a"]
+    assert (type(a_out), a_out) == (type(shown), shown)
 
 
 def test_cli_measure_all_reports_each_failed_route(tmp_path):
