@@ -50,7 +50,6 @@ from .mahler import (
     series_measure,
 )
 from .polycore import (
-    ClassifiedRealRoots,
     FamilyForm,
     IntPolynomial,
     RootSet,

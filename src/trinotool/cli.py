@@ -208,7 +208,7 @@ def _cmd_roots(args, envelope) -> list[dict]:
         form, flipped = normalize(args.n, args.m, args.a, args.b)
         labelled = classify_real_roots(form)
         envelope.update(family=form.family, family_a=form.a, flipped=flipped)
-        records.extend({"label": name, "value": value} for name, value in labelled.entries)
+        records.extend({"label": name, "value": value} for name, value in labelled.items())
     return records
 
 

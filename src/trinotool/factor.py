@@ -50,7 +50,6 @@ trinomial (von zur Gathen and Shoup, 1992).
 from __future__ import annotations
 
 import operator
-import zlib
 from dataclasses import dataclass
 from itertools import chain
 from math import comb, exp, gcd, isqrt, log, log1p, prod
@@ -443,9 +442,7 @@ def _gf_factors(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors mod p of f (squarefree mod p, p not dividing
     the leading coefficient), sorted by (degree, coefficients)."""
     monic = _monic(_mod(f, p), p)
-    # stable across processes and runs; identical inputs -> identical splits
-    key = f"{p}:{','.join(map(str, monic))}".encode()
-    factors = _gf_factor_squarefree(monic, p, Random(zlib.crc32(key)))
+    factors = _gf_factor_squarefree(monic, p, Random(0))
     return sorted(factors, key=lambda c: (len(c), tuple(c)))
 
 

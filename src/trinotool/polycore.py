@@ -90,7 +90,6 @@ __all__ = [
     "FamilyForm",
     "IntPolynomial",
     "RootSet",
-    "ClassifiedRealRoots",
     "evaluate",
     "to_dense",
     "normalize",
@@ -162,10 +161,6 @@ class TrinomialSpec:
     def gcd_mn(self) -> int:
         return gcd(self.m, self.n)
 
-    @property
-    def degree(self) -> int:
-        return self.n
-
 
 _SIGNS = {"R": (-1, 1), "S": (1, -1), "T": (-1, -1)}  # (middle, constant) signs
 _FAMILY_OF = {signs: family for family, signs in _SIGNS.items()}
@@ -213,11 +208,6 @@ class FamilyForm:
         if _is_int_like(self.a):
             a = int(round(float(self.a))) * sa
         return TrinomialSpec(self.n, self.m, a, sb)
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the family polynomial as (x^(n-m) + sigma a) x^m + tau."""
-        sa, sb = self.signs()
-        return _eval_terms((0, self.m, self.n), (sb, sa * self.a, 1), x)
 
 
 # unsigned array typecodes by item size ("L" is left out: it is 8 bytes on
@@ -365,32 +355,6 @@ def _moduli_extreme(pick, roots: tuple[complex, ...]) -> float:
     and min keep a NaN only when it comes first."""
     moduli = [abs(r) for r in roots]
     return math.nan if any(map(math.isnan, moduli)) else pick(moduli)
-
-
-@dataclass(frozen=True)
-class ClassifiedRealRoots:
-    """Labelled real roots of a family form (labels r1, r2, s1..s3, t1..t3)."""
-
-    family: FamilyForm
-    entries: tuple[tuple[str, float], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(value for _, value in self.entries)
-
-    def __getitem__(self, label: str) -> float:
-        for name, value in self.entries:
-            if name == label:
-                return value
-        raise KeyError(label)
 
 
 _ABERTH_TOL = 1e-14  # relative correction size at which the iteration stops
@@ -610,31 +574,32 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
 # ----------------------------------------------------------------------------
 # real-root classification
 
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
-
-
 def _bisect(f, lo: float, hi: float) -> float:
+    """The root of f in [lo, hi], where f changes sign, to one unit in the last
+    place: the bracket is halved until its ends are adjacent doubles.  Signs
+    are compared, not multiplied, so values near the ends of the double range
+    neither underflow to 0 nor overflow to inf."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if (flo < 0) == (fhi < 0):
         raise ClassificationMismatch(
             f"no sign change on [{lo}, {hi}] where one was expected"
         )
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) * 0.5 < _BISECT_TOL:
+    while True:
+        mid = lo + 0.5 * (hi - lo)  # lo + hi can overflow
+        if mid == lo or mid == hi:
             return mid
-        if flo * fmid < 0:
-            hi = mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0) == (flo < 0):
+            lo = mid
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            hi = mid
 
 
 def _positive_roots(n: int, m: int, a: float, sigma: int, tau: int,
@@ -642,7 +607,7 @@ def _positive_roots(n: int, m: int, a: float, sigma: int, tau: int,
     """Descending positive roots of x^n + sigma a x^m + tau, a >= 2.  By Descartes:
     (-,+) one in (0, 1) and one in (1, hi), one of them exactly 1 when a = 2;
     (+,-) one in (0, 1); (-,-) one in (1, hi); (+,+) none."""
-    def p(x: float) -> float:  # as FamilyForm.__call__
+    def p(x: float) -> float:
         value = _eval_terms((0, m, n), (tau, sigma * a, 1), x)
         if math.isnan(value):  # inf * 0 after an overflow; +/-inf keeps its sign
             raise ClassificationMismatch(f"the polynomial overflowed to NaN at x = {x!r}")
@@ -667,10 +632,12 @@ def _positive_roots(n: int, m: int, a: float, sigma: int, tau: int,
     raise ClassificationMismatch("could not establish the expected sign of the polynomial near 1")
 
 
-def classify_real_roots(f: FamilyForm) -> ClassifiedRealRoots:
-    """Label the real roots of an R/S/T form (a >= 2, gcd(m, n) = 1) in descending
-    order: its positive roots, then the negated positive roots of its z -> -z
-    reflection.  Roots at +/-1 (exactly when a = 2) are set, not bisected."""
+def classify_real_roots(f: FamilyForm) -> dict[str, float]:
+    """The real roots of an R/S/T form (a >= 2, gcd(m, n) = 1) as a dict from
+    label (r1, r2, s1..s3, t1..t3) to root, in descending order: its positive
+    roots, then the negated positive roots of its z -> -z reflection, each
+    bisected to adjacent doubles.  Roots at +/-1 (exactly when a = 2) are set,
+    not bisected."""
     if f.gcd_mn != 1:
         raise ValueError("classification requires gcd(m, n) = 1")
     if not f.a >= 2:
@@ -687,8 +654,7 @@ def classify_real_roots(f: FamilyForm) -> ClassifiedRealRoots:
         raise ClassificationMismatch(
             f"found {len(roots)} labelled roots, expected {expected[f.family]}"
         )
-    entries = tuple((f"{f.family.lower()}{k}", x) for k, x in enumerate(roots, 1))
-    return ClassifiedRealRoots(family=f, entries=entries)
+    return {f"{f.family.lower()}{k}": x for k, x in enumerate(roots, 1)}
 
 
 def is_reciprocal(p: IntPolynomial) -> bool:

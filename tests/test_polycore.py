@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from trinotool.polycore import (
 
 PHI = (1 + math.sqrt(5)) / 2  # roots of z^2 - z - 1, by the quadratic formula
 PHI_CONJ = (1 - math.sqrt(5)) / 2
+EPS4 = 4 * sys.float_info.epsilon  # relative bound on a real root bisected to adjacent doubles
 
 
 # ---------------------------------------------------------------- types
@@ -385,28 +387,29 @@ def test_classify_r413_against_bisection_oracle():
     r2 = bisect_root(lambda x: x**4 - 3 * x + 1, 0.0, 1.0)
     assert r1 == pytest.approx(1.3074861009619814, abs=1e-12)
     got = classify_real_roots(FamilyForm("R", 4, 1, 3))
-    assert got.labels == ("r1", "r2")
-    assert got["r1"] == pytest.approx(r1, abs=1e-11)
-    assert got["r2"] == pytest.approx(r2, abs=1e-11)
+    assert tuple(got) == ("r1", "r2")
+    assert got["r1"] == pytest.approx(r1, rel=EPS4, abs=0)
+    assert got["r2"] == pytest.approx(r2, rel=EPS4, abs=0)
     assert 1 < got["r1"] < 2 and 0 < got["r2"] < 1
 
 
 def test_classify_t312_explicit_factorization():
     # z^3 - 2z - 1 = (z + 1)(z^2 - z - 1)
     got = classify_real_roots(FamilyForm("T", 3, 1, 2))
-    assert got["t1"] == pytest.approx(PHI, abs=1e-11)
-    assert got["t2"] == pytest.approx(PHI_CONJ, abs=1e-11)
+    assert got["t1"] == pytest.approx(PHI, rel=EPS4, abs=0)
+    assert got["t2"] == pytest.approx(PHI_CONJ, rel=EPS4, abs=0)
     assert got["t3"] == -1.0  # boundary root, exact
 
 
 def test_classify_s323_three_roots():
     got = classify_real_roots(FamilyForm("S", 3, 2, 3))
-    assert got.labels == ("s1", "s2", "s3")
+    assert tuple(got) == ("s1", "s2", "s3")
     assert got["s3"] <= -1
-    # numpy.roots oracle (frozen): [-2.8793852415718, -0.6527036446661, 0.5320888862380]
-    assert got["s1"] == pytest.approx(0.532088886237956, abs=1e-10)
-    assert got["s2"] == pytest.approx(-0.65270364466614, abs=1e-10)
-    assert got["s3"] == pytest.approx(-2.879385241571814, abs=1e-10)
+    # z = y - 1 gives y^3 - 3y + 1, so the roots are 2 cos(2k pi/9) - 1 for
+    # k = 1, 7, 4; the doubles nearest them, from mpmath at 40 digits
+    assert got["s1"] == pytest.approx(0.532088886237956, rel=EPS4, abs=0)
+    assert got["s2"] == pytest.approx(-0.6527036446661393, rel=EPS4, abs=0)
+    assert got["s3"] == pytest.approx(-2.879385241571817, rel=EPS4, abs=0)
 
 
 def test_classify_boundary_a_equals_two():
@@ -416,27 +419,28 @@ def test_classify_boundary_a_equals_two():
     # m > n/2 places the boundary root at the inner label instead
     got = classify_real_roots(FamilyForm("S", 3, 2, 2))
     assert got["s2"] == -1.0
-    assert got["s3"] == pytest.approx(-PHI, abs=1e-11)
+    assert got["s3"] == pytest.approx(-PHI, rel=EPS4, abs=0)
     got = classify_real_roots(FamilyForm("T", 5, 3, 2))
     assert got["t2"] == -1.0
     assert got["t3"] < -1
     # degenerate double root: z^2 - 2z + 1
     got = classify_real_roots(FamilyForm("R", 2, 1, 2))
-    assert got.values == (1.0, 1.0)
+    assert tuple(got.values()) == (1.0, 1.0)
 
 
 def test_classify_t_family_case_split():
-    assert classify_real_roots(FamilyForm("T", 4, 1, 3)).labels == ("t1", "t2")
-    assert classify_real_roots(FamilyForm("T", 5, 2, 3)).labels == ("t1",)
-    assert classify_real_roots(FamilyForm("T", 5, 3, 3)).labels == ("t1", "t2", "t3")
+    assert tuple(classify_real_roots(FamilyForm("T", 4, 1, 3))) == ("t1", "t2")
+    assert tuple(classify_real_roots(FamilyForm("T", 5, 2, 3))) == ("t1",)
+    assert tuple(classify_real_roots(FamilyForm("T", 5, 3, 3))) == ("t1", "t2", "t3")
 
 
 def test_classify_labels_are_descending_real_roots():
     for form in _valid_forms((2, 3, 7, 2.5)):
         got = classify_real_roots(form)
-        assert all(x >= y for x, y in zip(got.values, got.values[1:])), form
+        values = tuple(got.values())
+        assert all(x >= y for x, y in zip(values, values[1:])), form
         letter = form.family.lower()
-        assert got.labels == tuple(f"{letter}{k}" for k in range(1, got.count + 1))
+        assert tuple(got) == tuple(f"{letter}{k}" for k in range(1, len(got) + 1))
 
 
 def test_classify_overflow_to_nan_is_a_typed_error():
@@ -470,9 +474,9 @@ def _int_power(xs, k):
         base = base * base
 
 
-def test_classify_count_matches_grid_scan():
-    # dense sign-change scan over [-1-a, 1+a] as an independent count oracle;
-    # a is kept off the a=2 boundary where roots sit exactly at +/-1
+def _grid_forms():
+    """500 seeded forms at coprime n <= 30, with a kept off the a = 2 boundary
+    where roots sit exactly at +/-1."""
     rng = random.Random(424242)
     samples = 0
     while samples < 500:
@@ -485,16 +489,51 @@ def test_classify_count_matches_grid_scan():
             continue
         if fam == "S" and n % 2 == 0:
             continue
-        a = rng.uniform(2.05, 10.0)
-        f = FamilyForm(fam, n, m, a)
+        yield FamilyForm(fam, n, m, rng.uniform(2.05, 10.0))
+        samples += 1
+
+
+def test_classify_count_matches_grid_scan():
+    # dense sign-change scan over [-1-a, 1+a] as an independent count oracle
+    for f in _grid_forms():
         labelled = classify_real_roots(f)
+        a = f.a
         xs = np.linspace(-1 - a, 1 + a, 300_000)
         sa, sb = f.signs()
         vals = _int_power(xs, f.m) * (_int_power(xs, f.n - f.m) + sa * a) + sb
         signs = np.sign(vals)
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
-        assert changes == labelled.count, (fam, n, m, a)
-        samples += 1
+        assert changes == len(labelled), f
+
+
+def _mp_real_roots(f):
+    """The real roots of a family form in descending order, by
+    mpmath.polyroots at 50 digits; numpy's roots are only its start points."""
+    mpmath = pytest.importorskip("mpmath")
+    sa, sb = f.signs()
+    coeffs = [0] * (f.n + 1)  # descending degree, as both solvers take them
+    coeffs[0], coeffs[f.n - f.m], coeffs[f.n] = 1, sa * f.a, sb
+    with mpmath.workdps(50):
+        # polyroots stops on an absolute correction below 1e-50, which roots
+        # as large as 1e7 reach only with the extra digits
+        roots = mpmath.polyroots(coeffs, extraprec=100, roots_init=list(np.roots(coeffs)))
+        return sorted((r for r in roots if mpmath.im(r) == 0), reverse=True)
+
+
+# roots near 1e-15 and up to 1e7, where any absolute stopping width is either
+# far too coarse or never met, and two moderate forms
+_HARD_FORMS = [FamilyForm("S", 3, 1, 1e15), FamilyForm("R", 4, 1, 1e14),
+               FamilyForm("T", 4, 1, 1e13), FamilyForm("S", 5, 2, 1e20),
+               FamilyForm("S", 3, 1, 1e6), FamilyForm("R", 4, 1, 3)]
+
+
+def test_classify_labels_within_four_eps_of_mpmath():
+    for f in [*_HARD_FORMS, *_grid_forms()]:
+        got = classify_real_roots(f)
+        truth = _mp_real_roots(f)
+        assert len(truth) == len(got), f
+        for (name, value), root in zip(got.items(), truth):
+            assert abs(value - root) <= EPS4 * abs(root), (f, name, value, root)
 
 
 def test_classified_roots_satisfy_their_intervals(rng):
@@ -509,14 +548,14 @@ def test_classified_roots_satisfy_their_intervals(rng):
         except ParityViolated:
             continue
         got = classify_real_roots(f)
-        for name, value in got.entries:
-            # |f| at a 1e-12-accurate root scales with |f'| there
+        for name, value in got.items():
+            # |f| at a root bisected to adjacent doubles scales with |f'| there
             sa, _ = f.signs()
             x, n, m, a = value, f.n, f.m, f.a
             dfdx = abs(x) ** (m - 1) * (
                 abs(m * (x ** (n - m) + sa * a)) + (n - m) * abs(x) ** (n - m)
             )
-            assert abs(f(value)) <= 1e-9 * (1.0 + dfdx)
+            assert abs(evaluate(f.as_trinomial(), value)) <= 1e-9 * (1.0 + dfdx)
             if name in ("r1", "t1"):
                 assert value >= 1
             elif name in ("r2", "s1"):

@@ -543,7 +543,16 @@ def test_cli_house_roots_factor_irreducible(tmp_path):
     env = json.loads(text)
     assert env["config"]["family"] == "R" and env["config"]["certified"] is True
     labels = {r["label"]: r["value"] for r in env["records"] if "label" in r}
-    assert labels["r1"] == pytest.approx(1.3074861009619814, abs=1e-10)
+    assert labels["r1"] == pytest.approx(1.3074861009619814, rel=4 * sys.float_info.epsilon, abs=0)
+
+    # a root near 1e-15, below any absolute stopping width, matches its root row
+    rc, text = run_cli(tmp_path, "roots", "3", "1", "1000000000000000", "-1",
+                       "--classify", "--format", "json")
+    assert rc == 0
+    records = json.loads(text)["records"]
+    (row,) = [r["re"] for r in records if r.get("im") == 0.0]
+    (s1,) = [r["value"] for r in records if r.get("label") == "s1"]
+    assert s1 == pytest.approx(row, rel=4 * sys.float_info.epsilon, abs=0)
 
     # the Aberth iteration count rides in the envelope's config; on the
     # boundary |a| = |b| + 1 the roots start on the generic circle, off it on
