@@ -24,7 +24,7 @@ import math
 import re
 import sys
 
-from . import __version__, bounds, factor, mahler, scan
+from . import __version__
 from .errors import ConvergenceFailure, TrinotoolError
 from .polycore import (
     FamilyForm,
@@ -159,7 +159,8 @@ def _fields(result) -> dict:
     return record
 
 
-def _measure_record(result: mahler.MeasureResult) -> dict:
+def _measure_record(result) -> dict:
+    """A mahler.MeasureResult as one record."""
     return {
         "method": result.method,
         "value": result.value,
@@ -170,9 +171,12 @@ def _measure_record(result: mahler.MeasureResult) -> dict:
 
 # Each _cmd_* handler takes the parsed args and the JSON envelope's config
 # dict, adds any fields of its own to that dict, and returns its records;
-# cli_dispatch renders them.
+# cli_dispatch renders them.  A handler imports the modules it calls, so a
+# command compiles and runs only those (polycore and errors load here).
 
 def _cmd_measure(args, envelope) -> list[dict]:
+    from . import mahler
+
     spec = _spec(args)
     routes = {
         "roots": lambda: mahler.measure_from_roots(spec),
@@ -194,6 +198,8 @@ def _cmd_measure(args, envelope) -> list[dict]:
 
 
 def _cmd_house(args, envelope) -> list[dict]:
+    from . import mahler
+
     return [{"house": mahler.house(_spec(args))}]
 
 
@@ -213,6 +219,8 @@ def _cmd_roots(args, envelope) -> list[dict]:
 
 
 def _cmd_factor(args, envelope) -> list[dict]:
+    from . import factor
+
     result = factor.factorize(to_dense(_spec(args)))
     envelope.update(content=result.content)
     return [
@@ -222,6 +230,8 @@ def _cmd_factor(args, envelope) -> list[dict]:
 
 
 def _cmd_irreducible(args, envelope) -> list[dict]:
+    from . import factor
+
     verdict = factor.is_irreducible(to_dense(_spec(args)))
     rec = {"verdict": verdict.verdict, "certificate": verdict.certificate}
     if verdict.witness is not None:
@@ -231,6 +241,8 @@ def _cmd_irreducible(args, envelope) -> list[dict]:
 
 
 def _cmd_limit(args, envelope) -> list[dict]:
+    from . import mahler
+
     case = mahler.limit_case(args.a, args.b)
     result = mahler.limit_measure(args.a, args.b)
     return [{
@@ -243,6 +255,8 @@ def _cmd_limit(args, envelope) -> list[dict]:
 
 
 def _cmd_series(args, envelope) -> list[dict]:
+    from . import mahler
+
     result = mahler.series_measure(args.n, args.m, args.a, args.b, **_tol(args))
     records = [_measure_record(result)]
     if args.trace:
@@ -253,11 +267,15 @@ def _cmd_series(args, envelope) -> list[dict]:
 
 
 def _cmd_bounds(args, envelope) -> list[dict]:
+    from . import bounds
+
     return [_fields(bounds.house_lower_bound(
         FamilyForm(args.family, args.n, args.m, args.a)))]
 
 
 def _cmd_compare_bounds(args, envelope) -> list[dict]:
+    from . import bounds
+
     cb = bounds.comparison_bounds(args.n)
     return [{
         "n": cb.n,
@@ -273,11 +291,15 @@ def _cmd_compare_bounds(args, envelope) -> list[dict]:
 
 
 def _cmd_extremal(args, envelope) -> list[dict]:
+    from . import bounds
+
     return [_fields(bounds.check_extremality(
         FamilyForm(args.family, args.n, args.m, args.a)))]
 
 
 def _cmd_scan(args, envelope) -> list[dict]:
+    from . import scan
+
     hits = scan.scan_conjecture(
         n_max=args.n_max,
         a_values=args.a,
@@ -302,6 +324,8 @@ def _scan_summary(args, rows: int) -> str:
 
 
 def _cmd_converge(args, envelope) -> list[dict]:
+    from . import scan
+
     return [_fields(row) for row in
             scan.convergence_table(args.a, args.b, args.n, args.m_rule)]
 

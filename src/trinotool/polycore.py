@@ -204,10 +204,8 @@ class FamilyForm:
 
     def as_trinomial(self) -> TrinomialSpec:
         sa, sb = self.signs()
-        a = sa * self.a
-        if _is_int_like(self.a):
-            a = int(round(float(self.a))) * sa
-        return TrinomialSpec(self.n, self.m, a, sb)
+        a = _as_int(self.a) if _is_int_like(self.a) else self.a
+        return TrinomialSpec(self.n, self.m, sa * a, sb)
 
 
 # unsigned array typecodes by item size ("L" is left out: it is 8 bytes on

@@ -60,9 +60,11 @@ def mp_measure(n, m, a, b):
             abs(roots[i] - roots[j]) > 1e-6 * max(1, abs(roots[i]))
             for i in range(n) for j in range(i))
         if not distinct:
+            # the same P(s w) / s^n, whose coefficients cannot underflow in mpmath
+            sm = mpmath.mpf(s)
             dense = [mpmath.mpc(0)] * (n + 1)  # descending
-            dense[0], dense[n - m], dense[n] = mpmath.mpc(1), am, bm
-            roots = mpmath.polyroots(dense, maxsteps=500, extraprec=400)
+            dense[0], dense[n - m], dense[n] = mpmath.mpc(1), am * sm ** (m - n), bm * sm ** -n
+            roots = [sm * w for w in mpmath.polyroots(dense, maxsteps=500, extraprec=400)]
         return (float(mpmath.fprod(max(1, abs(z)) for z in roots)),
                 float(max(abs(z) for z in roots)))
 

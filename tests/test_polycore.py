@@ -72,6 +72,13 @@ def test_family_form_as_trinomial():
     assert FamilyForm("S", 3, 1, 2).as_trinomial() == TrinomialSpec(3, 1, 2, -1)
     assert FamilyForm("T", 3, 1, 2).as_trinomial() == TrinomialSpec(3, 1, -2, -1)
 
+    # 10**20 + 1 is not a double: a trip through float would move it by one
+    big = 10**20 + 1
+    assert FamilyForm("R", 6, 1, big).as_trinomial() == TrinomialSpec(6, 1, -big, 1)
+    assert FamilyForm("S", 5, 2, big).as_trinomial() == TrinomialSpec(5, 2, big, -1)
+    assert FamilyForm("T", 5, 2, big).as_trinomial() == TrinomialSpec(5, 2, -big, -1)
+    assert normalize(5, 2, big, 1) == (FamilyForm("T", 5, 2, big), True)
+
 
 def test_int_polynomial_basics():
     p = IntPolynomial.of([1, 0, 0, 2, 0, 0, 0])  # trims leading zeros

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import trinotool
 from trinotool import factor, mahler, polycore, scan
 from trinotool.cli import _num, _Output, cli_dispatch
 from trinotool.errors import ConvergenceFailure
@@ -804,25 +805,46 @@ def test_cli_text_format_default(tmp_path, capsys):
 
 # Runs the CLI in a fresh interpreter, then reports what it loaded.  numpy
 # counts as loaded once any numpy.* submodule is (whatever loader put the
-# numpy package itself in sys.modules).
+# numpy package itself in sys.modules); "modules" names the trinotool.*
+# modules loaded.
 _LOADED_AFTER = """
 import json, sys
 from trinotool.cli import cli_dispatch
 rc = cli_dispatch(sys.argv[1:])
 print(json.dumps({"rc": rc,
                   "numpy": any(m.startswith("numpy.") for m in sys.modules),
-                  "pool": "concurrent.futures.process" in sys.modules}))
+                  "pool": "concurrent.futures.process" in sys.modules,
+                  "modules": sorted(m.removeprefix("trinotool.") for m in sys.modules
+                                    if m.startswith("trinotool."))}))
 """
 
+# cli loads errors and polycore; each command adds only the modules its
+# handler calls: factor and irreducible none of mahler, quadrature, bounds or
+# scan, and limit and series none of factor, bounds or scan
+_CLI = ["cli", "errors", "polycore"]
+_MODULES = {
+    "factor": sorted([*_CLI, "factor"]),
+    "irreducible": sorted([*_CLI, "factor"]),
+    "limit": sorted([*_CLI, "mahler", "quadrature"]),
+    "series": sorted([*_CLI, "mahler", "quadrature"]),
+    "compare-bounds": sorted([*_CLI, "bounds", "mahler", "quadrature"]),
+    "roots": _CLI,
+    "scan": sorted([*_CLI, "factor", "mahler", "quadrature", "scan"]),
+}
 
-def loaded_after(tmp_path, *argv):
+
+def run_python(code, *argv):
+    """stdout of code run in a fresh interpreter that imports trinotool from
+    this checkout."""
     src = str(Path(polycore.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, *argv, "--out", str(tmp_path / "out.txt")],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
+def loaded_after(tmp_path, *argv):
+    return json.loads(run_python(_LOADED_AFTER, *argv, "--out", str(tmp_path / "out.txt")))
 
 
 @pytest.mark.parametrize("argv", [
@@ -832,32 +854,84 @@ def loaded_after(tmp_path, *argv):
     ("compare-bounds", "10"),
 ], ids=lambda argv: argv[0])
 def test_integer_commands_never_load_numpy(argv, tmp_path):
-    assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
+    assert loaded_after(tmp_path, *argv) == {
+        "rc": 0, "numpy": False, "pool": False, "modules": _MODULES[argv[0]]}
 
 
 @pytest.mark.parametrize("argv", [("limit", "1", "1"), ("limit", "0.8", "0.7j")],
                          ids=["integer", "complex"])
 def test_closed_form_limit_never_loads_numpy(argv, tmp_path):
-    assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
+    assert loaded_after(tmp_path, *argv) == {
+        "rc": 0, "numpy": False, "pool": False, "modules": _MODULES["limit"]}
 
 
 def test_complete_cache_scan_loads_neither_numpy_nor_the_pool(tmp_path):
     argv = ("scan", "--n-max", "10", "--a", "-3,3", "--threads", "2",
             "--cache", str(tmp_path / "cache.jsonl"))
     assert run_cli(tmp_path, *argv)[0] == 0
-    assert loaded_after(tmp_path, *argv) == {"rc": 0, "numpy": False, "pool": False}
+    assert loaded_after(tmp_path, *argv) == {
+        "rc": 0, "numpy": False, "pool": False, "modules": _MODULES["scan"]}
 
 
 def test_roots_loads_numpy(tmp_path):
     # the positive control: the check above can see numpy
-    assert loaded_after(tmp_path, "roots", "4", "1", "-3", "1")["numpy"] is True
+    loaded = loaded_after(tmp_path, "roots", "4", "1", "-3", "1")
+    assert loaded["numpy"] is True and loaded["modules"] == _MODULES["roots"]
 
 
 def test_pooled_scan_loads_numpy_in_the_parent(tmp_path):
     # the parent computes nothing itself: numpy is loaded there before the
     # workers fork, so that they inherit it
     assert loaded_after(tmp_path, "scan", "--n-max", "10", "--a", "-3,3",
-                        "--threads", "2") == {"rc": 0, "numpy": True, "pool": True}
+                        "--threads", "2") == {
+        "rc": 0, "numpy": True, "pool": True, "modules": _MODULES["scan"]}
+
+
+def test_bare_import_loads_no_submodule():
+    # dir() lists every public name without loading a module to find it
+    loaded = json.loads(run_python(
+        "import json, sys, trinotool; names = dir(trinotool); "
+        "print(json.dumps({'dir': names, 'modules': sorted(sys.modules)}))"))
+    assert [m for m in loaded["modules"] if m.startswith(("trinotool.", "numpy"))] == []
+    assert set(trinotool.__all__) <= set(loaded["dir"])
+
+
+# __all__ as the eager package built it from its imports, pinned so that the
+# lazy name table neither drops nor adds a public name
+_PUBLIC = [
+    "ClassificationMismatch", "ComparisonBounds", "ConvergenceFailure", "ConvergenceRow",
+    "CoprimalityViolated", "DivergenceDetected", "DominanceViolated", "ExtremalityVerdict",
+    "FactorizationResult", "FamilyForm", "GcdNotOne", "HouseBoundReport", "IntPolynomial",
+    "InternalVerificationFailure", "IrreducibilityVerdict", "LimitCase", "LimitRegime",
+    "MeasureResult", "NonIntegerCoefficient", "NotRepresentable", "ParityViolated",
+    "QuadResult", "QuadratureBudgetExceeded", "RootSet", "ScanRecord", "SchinzelReport",
+    "SeriesTerm", "TrinomialSpec", "TrinotoolError", "all_roots", "bounds",
+    "check_extremality", "classify_real_roots", "comparison_bounds", "convergence_table",
+    "errors", "evaluate", "factor", "factorize", "house", "house_lower_bound", "integrate",
+    "is_irreducible", "is_reciprocal", "limit_case", "limit_measure", "mahler",
+    "measure_from_roots", "measure_jensen", "normalize", "polycore", "quadrature",
+    "residue_term", "scan", "scan_conjecture", "schinzel_conditions", "series_measure",
+    "threshold_irreducible", "to_dense",
+]
+
+
+def test_package_surface_is_unchanged():
+    assert trinotool.__all__ == _PUBLIC
+    for name in _PUBLIC:
+        value = getattr(trinotool, name)
+        if inspect.ismodule(value):
+            assert value is sys.modules[f"trinotool.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)
+            assert value.__module__.startswith("trinotool.")
+        assert name in dir(trinotool)
+    namespace = {}
+    exec("from trinotool import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(_PUBLIC)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trinotool.no_such_name
+    with pytest.raises(ImportError):
+        exec("from trinotool import no_such_name", {})
 
 
 # -------------------------------------------------------- NaN refusal
