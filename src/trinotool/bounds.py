@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import mahler
 from .polycore import FamilyForm
 
 __all__ = [
@@ -90,16 +89,11 @@ class ExtremalityVerdict:
     sign_certificate: float | None = None
 
 
-def _require_bound_input(f: FamilyForm) -> None:
-    if not f.a >= 2:
-        raise ValueError("bound operations require a >= 2")
-    if f.gcd_mn != 1:
-        raise ValueError("bound operations require gcd(m, n) = 1")
-
-
 def house_lower_bound(f: FamilyForm) -> HouseBoundReport:
     """Closed-form house bound for the family, checked against the computed house."""
-    _require_bound_input(f)
+    from . import mahler
+
+    f.require_hypotheses()
     house = mahler.house(f.as_trinomial())
 
     if f.family == "S" and f.m % 2 == 1:
@@ -148,7 +142,9 @@ def check_extremality(f: FamilyForm) -> ExtremalityVerdict:
     Requires integer a >= 2 and gcd(m, n) = 1.  The verdict is decided from
     the house for all three families; the sign certificate is attached for T.
     """
-    _require_bound_input(f)
+    from . import mahler
+
+    f.require_hypotheses()
     if not float(f.a).is_integer():
         raise ValueError("extremality check requires integer a")
     house = mahler.house(f.as_trinomial())

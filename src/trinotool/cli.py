@@ -266,11 +266,12 @@ def _cmd_series(args, envelope) -> list[dict]:
     return records
 
 
-def _cmd_bounds(args, envelope) -> list[dict]:
+def _cmd_family_form(args, envelope) -> list[dict]:
     from . import bounds
 
-    return [_fields(bounds.house_lower_bound(
-        FamilyForm(args.family, args.n, args.m, args.a)))]
+    routine = (bounds.house_lower_bound if args.command == "bounds"
+               else bounds.check_extremality)
+    return [_fields(routine(FamilyForm(args.family, args.n, args.m, args.a)))]
 
 
 def _cmd_compare_bounds(args, envelope) -> list[dict]:
@@ -288,13 +289,6 @@ def _cmd_compare_bounds(args, envelope) -> list[dict]:
         "smyth_boyd_house": cb.smyth_boyd_house,
         "trivial_mn": cb.trivial_mn,
     }]
-
-
-def _cmd_extremal(args, envelope) -> list[dict]:
-    from . import bounds
-
-    return [_fields(bounds.check_extremality(
-        FamilyForm(args.family, args.n, args.m, args.a)))]
 
 
 def _cmd_scan(args, envelope) -> list[dict]:
@@ -388,16 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     spec_args(p, _num)
     p.add_argument("--trace", action="store_true", help="emit every series term")
 
-    p = add("bounds", _cmd_bounds, help="house lower bound report for a family form")
-    spec_args(p, float, ("a",))
-    p.add_argument("--family", choices=("R", "S", "T"), required=True)
+    def family_form(name, **kwargs):
+        p = add(name, _cmd_family_form, **kwargs)
+        spec_args(p, _num, ("a",))
+        p.add_argument("--family", choices=("R", "S", "T"), required=True)
+
+    family_form("bounds", help="house lower bound report for a family form")
 
     p = add("compare-bounds", _cmd_compare_bounds, help="literature house constants at degree n")
     p.add_argument("n", type=int)
 
-    p = add("extremal", _cmd_extremal, help="extremality verdict for a family form")
-    spec_args(p, float, ("a",))
-    p.add_argument("--family", choices=("R", "S", "T"), required=True)
+    family_form("extremal", help="extremality verdict for a family form")
 
     p = add("scan", _cmd_scan, help="reducibility scan over n <= n_max")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)

@@ -99,18 +99,6 @@ __all__ = [
 ]
 
 
-def _is_int_like(x) -> bool:
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, int):
-        return True
-    if isinstance(x, float):
-        return x.is_integer()
-    if isinstance(x, complex):
-        return x.imag == 0 and float(x.real).is_integer()
-    return False
-
-
 def require_finite(*coeffs) -> None:
     """Raise ValueError for a float or complex coefficient that is not finite.
 
@@ -132,11 +120,13 @@ def require_float(*coeffs) -> None:
 
 
 def _as_int(x) -> int:
-    if not _is_int_like(x):
-        raise NonIntegerCoefficient(f"expected an integer coefficient, got {x!r}")
-    if isinstance(x, complex):
-        return int(x.real)
-    return int(x)
+    """x as an int: an int (not a bool), or a float or a complex with zero
+    imaginary part whose value is an integer."""
+    real = x.real if isinstance(x, complex) and x.imag == 0 else x
+    if (isinstance(real, int) and not isinstance(real, bool)
+            or isinstance(real, float) and real.is_integer()):
+        return int(real)
+    raise NonIntegerCoefficient(f"expected an integer coefficient, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -174,18 +164,23 @@ def _reflect(n: int, m: int, signs: tuple[int, int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FamilyForm:
-    """One of the sign-normalised forms R, S, T with positive coefficient a."""
+    """One of the sign-normalised forms R, S, T with positive real coefficient
+    a, kept as given: an int a stays exact in ``as_trinomial`` and in every
+    record that echoes it.  A complex a is refused, even with zero imaginary
+    part."""
 
     family: str
     n: int
     m: int
-    a: float
+    a: int | float
 
     def __post_init__(self):
         if self.family not in ("R", "S", "T"):
             raise ValueError(f"family must be 'R', 'S' or 'T', got {self.family!r}")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
+        if isinstance(self.a, complex):
+            raise ValueError(f"a must be real, got {self.a!r}")
         require_float(self.a)
         if not self.a > 0:
             raise ValueError("a must be positive")
@@ -198,14 +193,22 @@ class FamilyForm:
     def gcd_mn(self) -> int:
         return gcd(self.m, self.n)
 
+    def require_hypotheses(self) -> None:
+        """Raise ValueError unless a >= 2 and gcd(m, n) = 1: the hypotheses of
+        the house bounds, the extremality check and the real-root
+        classification."""
+        if not self.a >= 2:
+            raise ValueError(f"the {self.family} form results require a >= 2, got {self.a!r}")
+        if self.gcd_mn != 1:
+            raise ValueError(f"the {self.family} form results require gcd(m, n) = 1")
+
     def signs(self) -> tuple[int, int]:
         """Return (sign of middle coefficient, sign of constant term)."""
         return _SIGNS[self.family]
 
     def as_trinomial(self) -> TrinomialSpec:
         sa, sb = self.signs()
-        a = _as_int(self.a) if _is_int_like(self.a) else self.a
-        return TrinomialSpec(self.n, self.m, sa * a, sb)
+        return TrinomialSpec(self.n, self.m, sa * self.a, sb)
 
 
 # unsigned array typecodes by item size ("L" is left out: it is 8 bytes on
@@ -636,13 +639,9 @@ def classify_real_roots(f: FamilyForm) -> dict[str, float]:
     roots, then the negated positive roots of its z -> -z reflection, each
     bisected to adjacent doubles.  Roots at +/-1 (exactly when a = 2) are set,
     not bisected."""
-    if f.gcd_mn != 1:
-        raise ValueError("classification requires gcd(m, n) = 1")
-    if not f.a >= 2:
-        raise ValueError("classification requires a >= 2")
-
+    f.require_hypotheses()
     n, m, a = f.n, f.m, f.a
-    boundary = _is_int_like(a) and int(a) == 2  # P(+/-1) = 0 exactly
+    boundary = a == 2  # P(+/-1) = 0 exactly
     roots = _positive_roots(n, m, a, *f.signs(), boundary)
     roots += [-y for y in _positive_roots(n, m, a, *_reflect(n, m, f.signs()), boundary)]
     roots.sort(reverse=True)

@@ -363,8 +363,12 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
 
 
 def _m_for_rule(n: int, m_rule: str) -> int:
+    unknown = ValueError(f"unknown m rule {m_rule!r} (use fixed:<m>, last, or half)")
     if m_rule.startswith("fixed:"):
-        m = int(m_rule.split(":", 1)[1])
+        try:
+            m = int(m_rule.split(":", 1)[1])
+        except ValueError:
+            raise unknown from None
         if not 0 < m < n:
             raise ValueError(f"fixed m={m} invalid for n={n}")
         if gcd(m, n) != 1:
@@ -377,7 +381,7 @@ def _m_for_rule(n: int, m_rule: str) -> int:
         if not coprime:
             raise ValueError(f"no m with 0 < m < n is coprime to n={n}")
         return min(coprime, key=lambda m: (abs(m - n / 2), m))
-    raise ValueError(f"unknown m rule {m_rule!r} (use fixed:<m>, last, or half)")
+    raise unknown
 
 
 def convergence_table(a: complex, b: complex, n_list: Sequence[int],

@@ -1,7 +1,9 @@
 """What the CLI prints, command by command: the field order of text and CSV
-records, a json-mode stderr that holds one JSON object (the error, or scan's
-summary), and a text-mode error that is one line."""
+records, strict JSON, a json-mode stderr that holds one JSON object (the
+error, or scan's summary), and a text-mode error that is one line."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -64,6 +66,19 @@ def _printed(tmp_path, argv, fmt):
     return out.read_text()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _json_records(text, jsonl):
+    """The records of json-mode output, parsed as strict JSON (no NaN or
+    Infinity): scan's one object a line, or an envelope's records."""
+    if jsonl:
+        return [json.loads(line, parse_constant=_refuse_constant)
+                for line in text.splitlines()]
+    return json.loads(text, parse_constant=_refuse_constant)["records"]
+
+
 @pytest.mark.parametrize("argv, key_sequences, header", _README_FIELDS,
                          ids=[argv[0] for argv, _, _ in _README_FIELDS])
 def test_readme_commands_print_fields_in_fixed_order(argv, key_sequences, header,
@@ -74,6 +89,33 @@ def test_readme_commands_print_fields_in_fixed_order(argv, key_sequences, header
                for block in blocks if block.strip()]
     assert list(dict.fromkeys(records)) == key_sequences
     assert _printed(tmp_path, argv, "csv").splitlines()[0] == header
+    records = _json_records(_printed(tmp_path, argv, "json"), jsonl=argv[0] == "scan")
+    assert {frozenset(r) for r in records} == set(map(frozenset, key_sequences))
+
+
+# 10^20 + 1 is not a double: read as a float it would echo as 1e+20
+_BIG_A = "100000000000000000001"
+
+
+@pytest.mark.parametrize("argv", [("bounds", "6", "1", _BIG_A, "--family", "R"),
+                                  ("extremal", "5", "2", _BIG_A, "--family", "T")],
+                         ids=lambda argv: argv[0])
+def test_family_commands_echo_an_integer_a_exactly(argv, tmp_path):
+    envelope = json.loads(_printed(tmp_path, argv, "json"))
+    assert envelope["config"]["a"] == envelope["records"][0]["a"] == int(_BIG_A)
+    assert next(csv.DictReader(io.StringIO(_printed(tmp_path, argv, "csv"))))["a"] == _BIG_A
+    assert f"a = {_BIG_A}" in _printed(tmp_path, argv, "text").splitlines()
+
+
+@pytest.mark.parametrize("command", ["bounds", "extremal"])
+def test_family_commands_refuse_a_complex_a(command, capsys):
+    # a domain error (exit 1), as roots --classify gives a non-integer a
+    assert cli_dispatch([command, "4", "1", "3+1j", "--family", "R",
+                         "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"type": "ValueError", "message": "a must be real, got (3+1j)"}}
 
 
 def _run_fresh(argv, fmt="json", cwd=None):

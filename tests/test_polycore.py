@@ -67,6 +67,13 @@ def test_family_form_parity():
         FamilyForm("X", 4, 1, 3.0)
 
 
+@pytest.mark.parametrize("a", [3 + 1j, 3 + 0j])
+def test_family_form_refuses_a_complex_a(a):
+    # a is real in every R/S/T result, so a complex one is an input error
+    with pytest.raises(ValueError, match="a must be real"):
+        FamilyForm("R", 4, 1, a)
+
+
 def test_family_form_as_trinomial():
     assert FamilyForm("R", 4, 1, 3).as_trinomial() == TrinomialSpec(4, 1, -3, 1)
     assert FamilyForm("S", 3, 1, 2).as_trinomial() == TrinomialSpec(3, 1, 2, -1)

@@ -661,6 +661,14 @@ def test_cli_converge_half_without_coprime_m(capsys):
     assert "coprime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["fixed:x", "fixed:", "fixed:1.5"])
+def test_cli_converge_names_a_malformed_fixed_rule(rule, capsys):
+    assert cli_dispatch(["converge", "--a", "3", "--b", "1", "--n", "10",
+                         "--m-rule", rule]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown m rule {rule!r} (use fixed:<m>, last, or half)\n")
+
+
 def test_cli_seed_flag_removed():
     assert cli_dispatch(["house", "3", "1", "-2", "-1", "--seed", "1"]) == 2
     assert cli_dispatch(["scan", "--n-max", "5", "--a", "3", "--seed", "1"]) == 2
@@ -820,14 +828,15 @@ print(json.dumps({"rc": rc,
 
 # cli loads errors and polycore; each command adds only the modules its
 # handler calls: factor and irreducible none of mahler, quadrature, bounds or
-# scan, and limit and series none of factor, bounds or scan
+# scan, limit and series none of factor, bounds or scan, and compare-bounds
+# none of mahler or quadrature
 _CLI = ["cli", "errors", "polycore"]
 _MODULES = {
     "factor": sorted([*_CLI, "factor"]),
     "irreducible": sorted([*_CLI, "factor"]),
     "limit": sorted([*_CLI, "mahler", "quadrature"]),
     "series": sorted([*_CLI, "mahler", "quadrature"]),
-    "compare-bounds": sorted([*_CLI, "bounds", "mahler", "quadrature"]),
+    "compare-bounds": sorted([*_CLI, "bounds"]),
     "roots": _CLI,
     "scan": sorted([*_CLI, "factor", "mahler", "quadrature", "scan"]),
 }
