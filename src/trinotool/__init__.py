@@ -11,7 +11,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each module's public names; the modules themselves are public names too
+# the package's one list of public names, by module; modules are public too
 _EXPORTS = {
     "bounds": (
         "ComparisonBounds",

@@ -21,16 +21,6 @@ from dataclasses import dataclass
 
 from .polycore import FamilyForm
 
-__all__ = [
-    "HouseBoundReport",
-    "ComparisonBounds",
-    "ExtremalityVerdict",
-    "house_lower_bound",
-    "comparison_bounds",
-    "check_extremality",
-    "THETA0",
-]
-
 # real zero of z^3 - z - 1, the smallest Pisot number
 THETA0 = 1.3247179572447460259609088544780973
 

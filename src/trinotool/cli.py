@@ -309,7 +309,7 @@ def _scan_summary(args, rows: int) -> str:
     """scan's stderr summary, written once its rows are out: the scan
     certifies completeness only up to n_max, so the line records the bound.
     In json mode it is one JSON object, {"scan": {...}}."""
-    facts = {"n_max": args.n_max, "a": sorted(args.a), "signs": sorted(args.signs),
+    facts = {"n_max": args.n_max, "a": sorted(set(args.a)), "signs": sorted(set(args.signs)),
              "coprime_only": not args.all_m, "rows": rows}
     if args.format == "json":
         return json.dumps({"scan": facts}) + "\n"

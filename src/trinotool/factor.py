@@ -62,16 +62,6 @@ from .errors import (
 )
 from .polycore import IntPolynomial, dense_mul
 
-__all__ = [
-    "SchinzelReport",
-    "FactorizationResult",
-    "IrreducibilityVerdict",
-    "schinzel_conditions",
-    "threshold_irreducible",
-    "factorize",
-    "is_irreducible",
-]
-
 
 @dataclass(frozen=True)
 class SchinzelReport:

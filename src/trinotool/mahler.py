@@ -31,21 +31,6 @@ from .quadrature import DEFAULT_TOL, integrate
 _EPS = math.ulp(1.0)
 _MAX_TERMS = 10000  # series terms summed before the series stops with its tail bound
 
-__all__ = [
-    "MeasureResult",
-    "LimitRegime",
-    "LimitCase",
-    "SeriesTerm",
-    "measure_from_roots",
-    "measure_from_root_set",
-    "measure_jensen",
-    "house",
-    "limit_case",
-    "limit_measure",
-    "series_measure",
-    "residue_term",
-]
-
 
 @dataclass(frozen=True)
 class MeasureResult:

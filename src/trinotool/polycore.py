@@ -85,19 +85,6 @@ def _lazy_import(name: str):
 # mahler and quadrature take their np from here.
 np = _lazy_import("numpy")
 
-__all__ = [
-    "TrinomialSpec",
-    "FamilyForm",
-    "IntPolynomial",
-    "RootSet",
-    "evaluate",
-    "to_dense",
-    "normalize",
-    "all_roots",
-    "classify_real_roots",
-    "is_reciprocal",
-]
-
 
 def require_finite(*coeffs) -> None:
     """Raise ValueError for a float or complex coefficient that is not finite.

@@ -32,8 +32,6 @@ from functools import cache
 from .errors import QuadratureBudgetExceeded
 from .polycore import np
 
-__all__ = ["QuadResult", "integrate"]
-
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule sits on the odd-indexed abscissae.
 _XGK = (

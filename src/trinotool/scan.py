@@ -68,16 +68,6 @@ from . import factor, mahler, polycore
 from .errors import ConvergenceFailure, InternalVerificationFailure
 from .polycore import IntPolynomial, TrinomialSpec, to_dense
 
-__all__ = [
-    "ScanRecord",
-    "ConvergenceRow",
-    "scan_conjecture",
-    "convergence_table",
-    "compute_scan_record",
-    "record_to_dict",
-    "record_from_dict",
-]
-
 
 @dataclass(frozen=True)
 class ScanRecord:

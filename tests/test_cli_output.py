@@ -165,3 +165,17 @@ def test_json_mode_scan_stderr_is_one_summary_object(tmp_path):
                        str(tmp_path / "no" / "such" / "dir" / "x")), cwd=tmp_path)
     assert proc.returncode == 1 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_scan_summary_echoes_the_distinct_a_and_signs(fmt, tmp_path):
+    # the scan takes --a and --signs as sets, so the summary lists each once
+    proc = _run_fresh(("scan", "--n-max", "6", "--a", "3,3,-3", "--signs", "1,1"),
+                      fmt, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout == ""
+    if fmt == "json":
+        assert json.loads(proc.stderr) == {"scan": {
+            "n_max": 6, "a": [-3, 3], "signs": [1], "coprime_only": True, "rows": 0}}
+    else:
+        assert proc.stderr == ("scan: n_max=6 a=[-3, 3] signs=[1] coprime_only=True "
+                               "-> 0 reducible/errored rows (complete up to n_max only)\n")

@@ -101,6 +101,10 @@ def test_schinzel_cond_c_sign_clause():
     assert not r.cond_c  # AC > 0 but n1 odd
     r = schinzel_conditions(1, 5, -4, 6, 2)
     assert r.cond_c  # AC < 0 and n1 odd
+    # q = 2 is skipped when |A| or |C| is not a square, so cond_c stays
+    # False; sympy finds all three irreducible
+    for A, C in [(1, 3), (1, -3), (2, 1)]:
+        assert not schinzel_conditions(A, 5, C, 6, 2).cond_c, (A, C)
 
 
 # -------------------------------------------------------- threshold

@@ -442,6 +442,28 @@ def test_classify_boundary_a_equals_two():
     assert tuple(got.values()) == (1.0, 1.0)
 
 
+# a = 2 forms whose other root lies so close to 1 that the first step off 1
+# (1e-3) passes it: the first three need a second step, the last two a third
+@pytest.mark.parametrize("fam, n, m, label, value", [
+    ("R", 92, 45, "r1", 1.0), ("R", 92, 47, "r2", 1.0), ("S", 65, 32, "s3", -1.0),
+    ("R", 284, 141, "r1", 1.0), ("R", 288, 145, "r2", 1.0),
+])
+def test_classify_boundary_steps_off_one_in_smaller_steps(fam, n, m, label, value):
+    mpmath = pytest.importorskip("mpmath")
+    f = FamilyForm(fam, n, m, 2)
+    got = classify_real_roots(f)
+    assert [k for k, x in got.items() if abs(x) == 1] == [label]
+    assert got[label] == value  # boundary root, exact
+    sa, sb = f.signs()
+    for name, x in got.items():
+        if name == label:
+            continue
+        # polyroots is too slow at these degrees: findroot starts at the label
+        with mpmath.workdps(60):
+            root = mpmath.findroot(lambda z: z**n + sa * 2 * z**m + sb, mpmath.mpf(x))
+        assert abs(x - root) <= EPS4 * abs(root), (f, name, x, root)
+
+
 def test_classify_t_family_case_split():
     assert tuple(classify_real_roots(FamilyForm("T", 4, 1, 3))) == ("t1", "t2")
     assert tuple(classify_real_roots(FamilyForm("T", 5, 2, 3))) == ("t1",)

@@ -659,6 +659,10 @@ def test_cli_converge_half_without_coprime_m(capsys):
     assert cli_dispatch(["converge", "--a", "3", "--b", "1", "--n", "1",
                          "--m-rule", "half"]) == 1
     assert "coprime" in capsys.readouterr().err
+    # nor is a fixed m outside 0 < m < n
+    assert cli_dispatch(["converge", "--a", "3", "--b", "1", "--n", "4",
+                         "--m-rule", "fixed:5"]) == 1
+    assert capsys.readouterr().err == "error: fixed m=5 invalid for n=4\n"
 
 
 @pytest.mark.parametrize("rule", ["fixed:x", "fixed:", "fixed:1.5"])
@@ -931,9 +935,11 @@ def test_package_surface_is_unchanged():
         if inspect.ismodule(value):
             assert value is sys.modules[f"trinotool.{name}"]
         else:
+            assert value.__module__ == f"trinotool.{trinotool._MODULE_OF[name]}"
             assert value is getattr(sys.modules[value.__module__], name)
-            assert value.__module__.startswith("trinotool.")
         assert name in dir(trinotool)
+    # _EXPORTS is the one list of public names: no module keeps its own
+    assert [m for m in trinotool._EXPORTS if "__all__" in vars(getattr(trinotool, m))] == []
     namespace = {}
     exec("from trinotool import *", namespace)
     assert namespace.keys() - {"__builtins__"} == set(_PUBLIC)
