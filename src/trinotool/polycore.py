@@ -33,7 +33,12 @@ its hull moves the computed pair at the double root of (z +/- 1)^2 by up to
 9e-9, and dense input stays the independent side of the cross-check.  The
 iteration stops once every relative correction is below ``_ABERTH_TOL``, gives
 up after ``_MAX_ITER`` iterations, and certifies a root set whose residual
-bound is at most ``_CERT_TOL``; none of the three is a parameter.
+bound is at most ``_CERT_TOL``; none of the three is a parameter.  The one
+kernel, ``_aberth``, iterates a batch of polynomials that share their
+exponents, each row stopping on its own: ``all_roots`` is its one-row case,
+and the scan solves the orbit leaders of one (n, m) in one call
+(``_all_roots_rows``), which costs a fraction of as many lone solves at small
+n, where numpy's per-call overhead dominates.
 
 ``_eval_terms`` is the one evaluator at a point (Horner's rule over the nonzero
 terms, each gap's power by squaring).  ``mahler._circle_modulus`` is kept apart:
@@ -49,7 +54,7 @@ import importlib.util
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -473,8 +478,141 @@ def _initial_points(p: Union[IntPolynomial, TrinomialSpec], coeffs: list[complex
     return radii * np.exp(1j * angles)
 
 
+def _columns(rows: Sequence[Sequence]) -> list:
+    """The j-th entries of the rows as a (k, 1) column, for each j: views
+    into one (k, t) array.  One row gives its entries themselves, with the
+    same products: numpy multiplies by a scalar about 1 us faster than by a
+    (1, 1) array, a sixth of an evaluation at small n."""
+    if len(rows) == 1:
+        return list(rows[0])
+    table = np.array(rows)
+    return [table[:, j, None] for j in range(table.shape[1])]
+
+
+def _aberth(exps: list[int], rows: list[list[complex]], z: np.ndarray
+            ) -> list[RootSet | ConvergenceFailure]:
+    """Aberth-Ehrlich iteration plus one Newton polish on k polynomials that
+    share the exponents exps (exps[0] == 0, n = exps[-1] >= 2): row i has the
+    coefficients rows[i] and the start points z[i], and comes out as the
+    RootSet, roots sorted, or the ConvergenceFailure of that row solved alone.
+
+    Every step is elementwise along a row or a sum within it, so a row's
+    values do not depend on the other rows.  A row stops at the iteration
+    where its own relative corrections are all below _ABERTH_TOL, or at its
+    first step where every root is NaN; its final iterate is set aside and
+    the live rows, their coefficients and the (k, n, n) pair buffer are
+    compacted only then, so a step costs the same numpy calls at any k.  The
+    polish, the noise-floored residual and the convergence verdict are
+    per row.  The coefficient moduli of the noise floor and the derivative's
+    coefficients are taken in Python, as a lone solve always took them: numpy
+    rounds a few of them differently in the last bit."""
+    k, n = z.shape
+    dexps = [e - 1 for e in exps if e]
+    drows = [[e * c for e, c in zip(exps, coeffs) if e] for coeffs in rows]
+    cols, dcols = _columns(rows), _columns(drows)
+    live_cols, live_dcols = cols, dcols
+    live = list(range(k))  # the rows still iterating, by their index in rows
+    final = np.empty_like(z)
+    iterations = [_MAX_ITER] * k
+    converged = [False] * k
+    buffer = np.empty((k, n, n), dtype=complex)  # 1 / (z_i - z_j) per row, refilled in place
+    diagonal = buffer.reshape(k, n * n)[:, ::n + 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(_MAX_ITER):
+            pv = _eval_terms(exps, live_cols, z)
+            dv = _eval_terms(dexps, live_dcols, z)
+            dv = np.where(dv == 0, 1e-300, dv)
+            w = pv / dv
+            pair = buffer[:len(live)]
+            np.subtract(z[:, :, None], z[:, None, :], out=pair)
+            diagonal[:len(live)] = np.inf
+            np.divide(1.0, pair, out=pair)
+            s = pair.sum(axis=2)
+            denom = 1.0 - w * s
+            denom = np.where(denom == 0, 1e-300, denom)
+            corr = w / denom
+            z = z - corr
+            worst = (np.abs(corr) / (1.0 + np.abs(z))).max(axis=1)
+            if (worst >= _ABERTH_TOL).all():  # no row stops; a NaN fails the test
+                continue
+            # one NaN root spreads to the whole row via the pair sums
+            lost = np.isnan(z).all(axis=1)
+            done = lost | (worst < _ABERTH_TOL)
+            stops = done.tolist()
+            if not any(stops):  # a row partly NaN, which spreads next step
+                continue
+            for j, (row, stop, nan) in enumerate(zip(live, stops, lost.tolist())):
+                if stop:
+                    final[row] = z[j]
+                    iterations[row] = it + 1
+                    converged[row] = not nan
+            if all(stops):
+                break
+            keep = ~done
+            live = [row for row, stop in zip(live, stops) if not stop]
+            z = z[keep]
+            live_cols = [c[keep] for c in live_cols]
+            live_dcols = [c[keep] for c in live_dcols]
+        else:
+            final[live] = z
+        # terminal Newton pass, kept only where it reduces |P|
+        z = final
+        pv = _eval_terms(exps, cols, z)
+        dv = _eval_terms(dexps, dcols, z)
+        dv = np.where(dv == 0, 1e-300, dv)
+        z_new = z - pv / dv
+        pv_new = _eval_terms(exps, cols, z_new)
+        better = np.abs(pv_new) <= np.abs(pv)
+        z = np.where(better, z_new, z)
+        # |P(z)| computed in floats is only trustworthy down to the evaluation
+        # noise floor; without it, cancellation at multiple roots reports
+        # spuriously tiny residuals and over-certifies the cluster
+        pv = np.abs(np.where(better, pv_new, pv))
+        noise = 2.3e-16 * _eval_terms(exps, _columns([[abs(c) for c in coeffs]
+                                                      for coeffs in rows]), np.abs(z))
+        dv = np.maximum(np.abs(_eval_terms(dexps, dcols, z)), 1e-300)
+        residuals = (n * (pv + noise) / dv).max(axis=1).tolist()
+    solved: list[RootSet | ConvergenceFailure] = []
+    for roots, residual, done, count in zip(z.tolist(), residuals, converged, iterations):
+        roots.sort(key=lambda r: (r.real, r.imag))
+        if not done and residual > _CERT_TOL:
+            solved.append(ConvergenceFailure(
+                f"root iteration did not converge in {_MAX_ITER} iterations "
+                f"(residual bound {residual:.3e})",
+                roots=tuple(roots), residual_bound=residual))
+        else:
+            solved.append(RootSet(roots=tuple(roots), residual_bound=residual,
+                                  certified=residual <= _CERT_TOL, iterations=count))
+    return solved
+
+
+def _all_roots_rows(specs: Sequence[TrinomialSpec]) -> list[RootSet | Exception]:
+    """``all_roots`` of trinomials that share n and m, in one batched Aberth
+    solve: row i is the RootSet all_roots(specs[i]) returns, bit for bit, or
+    the exception it raises (ConvergenceFailure, or ValueError for a
+    coefficient too large for floating point)."""
+    if len({(p.n, p.m) for p in specs}) > 1:
+        raise ValueError("a batched solve needs one (n, m)")
+    solved: list[RootSet | Exception | None] = [None] * len(specs)
+    batch, rows, seeds = [], [], []
+    for i, p in enumerate(specs):
+        try:
+            exps, coeffs = _terms(p)
+        except ValueError as exc:
+            solved[i] = exc
+            continue
+        batch.append(i)
+        rows.append(coeffs)
+        seeds.append(_initial_points(p, coeffs, p.n))
+    if batch:
+        for i, result in zip(batch, _aberth(exps, rows, np.stack(seeds))):
+            solved[i] = result
+    return solved
+
+
 def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
-    """All complex roots by Aberth-Ehrlich iteration plus one Newton polish.
+    """All complex roots by Aberth-Ehrlich iteration plus one Newton polish:
+    the one-row case of the batched solve (``_aberth``).
 
     Deterministic for fixed input.  Raises ConvergenceFailure (carrying the
     best iterate) if _MAX_ITER iterations pass without convergence while the
@@ -494,69 +632,17 @@ def all_roots(p: Union[IntPolynomial, TrinomialSpec]) -> RootSet:
     zero_count = exps[0]  # roots at the origin split off exactly
     exps = [e - zero_count for e in exps]
     n = exps[-1]
-    roots: list[complex] = [0.0j] * zero_count
-    iterations = 0
-    residual = 0.0
-
-    if n == 1:
-        roots.append(-coeffs[0] / coeffs[1])
-    elif n > 1:
-        dexps = [e - 1 for e in exps if e]
-        dcoeffs = [e * c for e, c in zip(exps, coeffs) if e]
-        z = _initial_points(p, coeffs, n)
-        pair = np.empty((n, n), dtype=complex)  # 1 / (z_i - z_j), refilled in place
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            converged = False
-            for it in range(_MAX_ITER):
-                iterations = it + 1
-                pv = _eval_terms(exps, coeffs, z)
-                dv = _eval_terms(dexps, dcoeffs, z)
-                dv = np.where(dv == 0, 1e-300, dv)
-                w = pv / dv
-                np.subtract(z[:, None], z[None, :], out=pair)
-                np.fill_diagonal(pair, np.inf)
-                np.divide(1.0, pair, out=pair)
-                s = pair.sum(axis=1)
-                denom = 1.0 - w * s
-                denom = np.where(denom == 0, 1e-300, denom)
-                corr = w / denom
-                z = z - corr
-                if np.isnan(z).all():  # one NaN root spreads to all via the pair sums
-                    break
-                if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_TOL:
-                    converged = True
-                    break
-            # terminal Newton pass, kept only where it reduces |P|
-            pv = _eval_terms(exps, coeffs, z)
-            dv = _eval_terms(dexps, dcoeffs, z)
-            dv = np.where(dv == 0, 1e-300, dv)
-            z_new = z - pv / dv
-            pv_new = _eval_terms(exps, coeffs, z_new)
-            better = np.abs(pv_new) <= np.abs(pv)
-            z = np.where(better, z_new, z)
-            # |P(z)| computed in floats is only trustworthy down to the evaluation
-            # noise floor; without it, cancellation at multiple roots reports
-            # spuriously tiny residuals and over-certifies the cluster
-            pv = np.abs(np.where(better, pv_new, pv))
-            noise = 2.3e-16 * _eval_terms(exps, [abs(c) for c in coeffs], np.abs(z))
-            dv = np.maximum(np.abs(_eval_terms(dexps, dcoeffs, z)), 1e-300)
-            residual = float(np.max(n * (pv + noise) / dv))
-        if not converged and residual > _CERT_TOL:
-            raise ConvergenceFailure(
-                f"root iteration did not converge in {_MAX_ITER} iterations "
-                f"(residual bound {residual:.3e})",
-                roots=tuple(sorted(map(complex, z), key=lambda r: (r.real, r.imag))),
-                residual_bound=residual,
-            )
-        roots.extend(map(complex, z))
-
-    roots.sort(key=lambda r: (r.real, r.imag))
-    return RootSet(
-        roots=tuple(roots),
-        residual_bound=residual,
-        certified=residual <= _CERT_TOL,
-        iterations=iterations,
-    )
+    if n > 1:
+        solved = _aberth(exps, [coeffs], _initial_points(p, coeffs, n)[None])[0]
+        if isinstance(solved, ConvergenceFailure):
+            raise solved
+    else:
+        roots = (-coeffs[0] / coeffs[1],) if n == 1 else ()
+        solved = RootSet(roots=roots, residual_bound=0.0, certified=True, iterations=0)
+    if zero_count:
+        roots = sorted((0.0j,) * zero_count + solved.roots, key=lambda r: (r.real, r.imag))
+        solved = replace(solved, roots=tuple(roots))
+    return solved
 
 
 # ----------------------------------------------------------------------------

@@ -13,8 +13,10 @@ They commute, so an orbit has 1, 2 or 4 cells; only the cells that are
 pending in this scan belong to it, so it may have 3.  The orbit's leader is
 the least cell (as a tuple) of the whole orbit, pending or not, so every
 record is a function of its own cell alone, whatever else is pending.  The
-leader is factored with ``factor.is_irreducible`` and its roots are solved
-with ``polycore.all_roots``, once per orbit.  Every cell gets that
+leader is factored with ``factor.is_irreducible`` and its roots are solved,
+once per orbit; the solve is one row of a batched Aberth solve
+(``polycore._all_roots_rows``), whose rows are bit for bit what
+``polycore.all_roots`` gives each leader alone.  Every cell gets that
 factorization mapped factor by factor (g(z) -> g(-z), g -> its coefficient
 reversal, each with a positive leading coefficient, sorted canonically) and
 checked by exact re-expansion against its own polynomial; a mismatch is that
@@ -45,11 +47,16 @@ A cell's measure is therefore the leader's, and its house is max|z| or
 1/min|z| over the leader's roots, as its move has no reversal or one.  An
 error of the leader's factorization or solve is every cell's record.
 
-Both moves keep n, so the scan goes one degree at a time, its orbits to a
-process pool; records are appended to the cache one line at a time, and only
-the reported ones are kept.  So runs are deterministic regardless of the worker
-count, an interrupted scan resumes from the cache, and memory holds one or two
-degrees' work plus the report.
+Both moves keep n and the pair {m, n - m}, so the scan goes one degree at a
+time, and a task is the pending orbits of one (n, {m, n - m}) pair, whose
+leaders share (n, m): one batched root solve for all its leaders, then one
+factorization per leader.  A pair's orbits are split into tasks of at most
+_TASK_PAIRS // n^2 orbits (one past n = 512), so that a task's (k, n, n) pair
+buffer stays within 4 MiB, or one solve's.  Each task is one
+pool task; its records are appended to the cache in one write and one flush,
+and only the reported ones are kept.  So runs are deterministic regardless of
+the worker count, an interrupted scan resumes from the cache, and memory holds
+one or two degrees' work plus the report.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from math import gcd, isnan
 from typing import Iterable, Iterator, Sequence
 
 from . import factor, mahler, polycore
-from .errors import ConvergenceFailure, InternalVerificationFailure
+from .errors import ConvergenceFailure, InternalVerificationFailure, NonIntegerCoefficient
 from .polycore import IntPolynomial, TrinomialSpec, to_dense
 
 
@@ -76,7 +83,8 @@ class ScanRecord:
     ``factor_degrees`` sums to n; two or more entries iff reducible.
     ``elapsed`` (seconds) is the cell's own time: its check of the mapped
     factorization, plus, for the first pending cell of its orbit, the
-    leader's ``is_irreducible`` call and root solve, which the orbit shares,
+    leader's ``is_irreducible`` call, which the orbit shares, and an equal
+    share of its task's batched root solve, which the task's orbits share,
     so the elapsed times of a scan sum to its compute time.  It is
     informational and excluded from equality so that records survive cache
     round trips and thread-count changes unchanged.
@@ -164,65 +172,113 @@ def _factor_degrees(verdict: factor.IrreducibilityVerdict, move: tuple[bool, boo
     return tuple(sorted(g.degree for g, k in mapped.factors for _ in range(k)))
 
 
-def _scan_orbit(orbit: Sequence[tuple[int, int, int, int]]) -> list[ScanRecord]:
-    """The records of one orbit of cells (see the module docstring).  The
-    leader is factored with one ``factor.is_irreducible`` call and solved
-    with one root solve; each cell's record then holds the leader's verdict
-    and measure, its own mapped factor degrees and its house, or, if the
-    leader's work or the cell's own check failed, the error."""
+_TASK_PAIRS = 1 << 18  # pair-buffer entries of one task's solve: 4 MiB of complex
+
+
+def _scan_task(orbits: Sequence[Sequence[tuple[int, int, int, int]]]) -> list[ScanRecord]:
+    """The records of a task's orbits, whose leaders share (n, m) (see the
+    module docstring), in orbit order.  The leaders' roots come from one
+    batched solve; then each leader is factored with one
+    ``factor.is_irreducible`` call, and each cell's record holds the
+    leader's verdict and measure, its own mapped factor degrees and its
+    house, or, if the leader's work or the cell's own check failed, the
+    error.  The factorization runs first, so its error is the one a cell
+    reports when both fail."""
     start = time.perf_counter()
-    leader = min(_orbit_moves(orbit[0]))
-    try:
-        spec = TrinomialSpec(*leader)
-        verdict = factor.is_irreducible(to_dense(spec))
-        roots = polycore.all_roots(spec)
-        measure = mahler.measure_from_root_set(roots).value
-        houses = (roots.max_modulus(), 1 / roots.min_modulus())  # without, with the reversal
-        failure = None
-    except Exception as exc:  # every cell of the orbit reports it
-        failure = exc
-    moves = _orbit_moves(leader)
-    records = []
-    for item in orbit:
+    leaders = [min(_orbit_moves(orbit[0])) for orbit in orbits]
+    specs = []
+    for leader in leaders:
         try:
-            if failure is not None:
-                raise failure
-            fields = dict(
-                reducible=verdict.reducible,
-                factor_degrees=_factor_degrees(verdict, moves[item],
-                                               to_dense(TrinomialSpec(*item))),
-                certificate=verdict.certificate,
-                measure=measure,
-                house=houses[moves[item][1]],
-            )
-        except Exception as exc:  # errored rows are reported, never dropped
-            fields = dict(reducible=False, factor_degrees=(), certificate="error",
-                          measure=None, house=None, error=f"{type(exc).__name__}: {exc}")
-        records.append(ScanRecord(*item, **fields, elapsed=time.perf_counter() - start))
-        start = time.perf_counter()
+            specs.append(TrinomialSpec(*leader))
+        except Exception as exc:  # no trinomial (compute_scan_record's cell): the orbit's error
+            specs.append(exc)
+    rows = iter(polycore._all_roots_rows([p for p in specs if isinstance(p, TrinomialSpec)]))
+    solved = [next(rows) if isinstance(p, TrinomialSpec) else p for p in specs]
+    share = (time.perf_counter() - start) / len(orbits)  # each orbit's part of the solve
+    records = []
+    for orbit, leader, spec, roots in zip(orbits, leaders, specs, solved):
+        start = time.perf_counter() - share
+        try:
+            if isinstance(spec, Exception):
+                raise spec
+            verdict = factor.is_irreducible(to_dense(spec))
+            if isinstance(roots, Exception):
+                raise roots
+            measure = mahler.measure_from_root_set(roots).value
+            houses = (roots.max_modulus(), 1 / roots.min_modulus())  # without, with the reversal
+            failure = None
+        except Exception as exc:  # every cell of the orbit reports it
+            failure = exc
+        moves = _orbit_moves(leader)
+        for item in orbit:
+            try:
+                if failure is not None:
+                    raise failure
+                fields = dict(
+                    reducible=verdict.reducible,
+                    factor_degrees=_factor_degrees(verdict, moves[item],
+                                                   to_dense(TrinomialSpec(*item))),
+                    certificate=verdict.certificate,
+                    measure=measure,
+                    house=houses[moves[item][1]],
+                )
+            except Exception as exc:  # errored rows are reported, never dropped
+                fields = dict(reducible=False, factor_degrees=(), certificate="error",
+                              measure=None, house=None, error=f"{type(exc).__name__}: {exc}")
+            records.append(ScanRecord(*item, **fields, elapsed=time.perf_counter() - start))
+            start = time.perf_counter()
     return records
+
+
+def _tasks(orbits: list[tuple[tuple[int, int, int, int], ...]]
+           ) -> list[list[tuple[tuple[int, int, int, int], ...]]]:
+    """The orbits grouped by their leader's (n, m), each group in the order of
+    its first orbit and its orbits in orbit order, and split so that a task's
+    pair buffer, k n^2 complex entries for k leaders, stays within
+    _TASK_PAIRS.  Every cell of an orbit has m or n - m, so the leader's m is
+    min(m, n - m) of any of them."""
+    groups: dict[tuple[int, int], list[tuple[tuple[int, int, int, int], ...]]] = {}
+    for orbit in orbits:
+        n, m = orbit[0][:2]
+        groups.setdefault((n, min(m, n - m)), []).append(orbit)
+    tasks = []
+    for (n, _), group in groups.items():
+        size = max(1, _TASK_PAIRS // n ** 2)
+        tasks += (group[i:i + size] for i in range(0, len(group), size))
+    return tasks
 
 
 def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
     """Factor one trinomial and attach its measure and house: the scan of a
     one-cell orbit."""
-    return _scan_orbit((item,))[0]
+    return _scan_task([(item,)])[0]
 
 
 def _degrees(n_max: int, a_values: Iterable[int], signs: Iterable[int],
              coprime_only: bool) -> Iterator[list[tuple[int, int, int, int]]]:
     """Each degree's cells in canonical order: by n, then m, then |a| with the
-    negative a first, then b.  A degree's cells are built when it is reached."""
+    negative a first, then b.  A degree's cells are built when it is reached.
+    a and the signs are read with ``polycore._as_int``, so 2.0 is 2 and 2.5
+    or True raises NonIntegerCoefficient."""
+    n_max = _as_degree(n_max, "n_max")
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    a_sorted = sorted(set(int(a) for a in a_values), key=lambda a: (abs(a), a))
+    a_sorted = sorted(set(map(polycore._as_int, a_values)), key=lambda a: (abs(a), a))
     if not a_sorted or 0 in a_sorted:
         raise ValueError("a must be a nonempty set of nonzero integers")
-    b_sorted = sorted(set(int(b) for b in signs))
+    b_sorted = sorted(set(map(polycore._as_int, signs)))
     if not b_sorted or any(b not in (-1, 1) for b in b_sorted):
         raise ValueError("signs must be a nonempty set of +/-1")
     return ([(n, m, a, b) for m in range(1, n) if not coprime_only or gcd(m, n) == 1
              for a in a_sorted for b in b_sorted] for n in range(3, n_max + 1))
+
+
+def _as_degree(n, name: str) -> int:
+    """n as an int (an integral float too), else a ValueError that names it."""
+    try:
+        return polycore._as_int(n)
+    except NonIntegerCoefficient:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
 
 
 def record_to_dict(rec: ScanRecord, include_elapsed: bool = True) -> dict:
@@ -307,19 +363,20 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
     All completed records, including irreducible ones, are appended to the
     cache file when one is given; a rerun with the same cache skips finished
     cells and reproduces the same record set.  ``threads`` is the number of
-    worker processes (>= 1), capped at the pending orbits; one needs no pool.
+    worker processes (>= 1), capped at the pending tasks; one needs no pool.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     degrees = _degrees(n_max, a_values, signs, coprime_only)
     cached, reported = _load_cache(cache_path) if cache_path else (set(), {})
-    # each degree's cells and its pending orbits
-    work = ((cells, _orbits([c for c in cells if c not in cached])) for cells in degrees)
-    # the pool size reads the pending orbits, counted only up to threads
+    # each degree's cells and the tasks of its pending orbits
+    work = ((cells, _tasks(_orbits([c for c in cells if c not in cached])))
+            for cells in degrees)
+    # the pool size reads the pending tasks, counted only up to threads
     head, count = [], 0
-    for cells, orbits in work:
-        head.append((cells, orbits))
-        count += len(orbits)
+    for cells, tasks in work:
+        head.append((cells, tasks))
+        count += len(tasks)
         if count >= threads:
             break
     workers = min(threads, count)
@@ -335,17 +392,19 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
             # the forked workers inherit it rather than each loading its own
             polycore.np.ndarray  # noqa: B018
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            run = partial(pool.map, _scan_orbit, chunksize=2)
+            run = partial(pool.map, _scan_task, chunksize=1)
         else:
-            run = partial(map, _scan_orbit)
-        queued = ((cells, run(orbits)) for cells, orbits in chain(head, work))
+            run = partial(map, _scan_task)
+        queued = ((cells, run(tasks)) for cells, tasks in chain(head, work))
         # pairwise has queued degree n + 1 when degree n is drained
         for (cells, results), _ in pairwise(chain(queued, [None])):
-            for rec in chain.from_iterable(results):
-                if rec.reducible or rec.error:
-                    reported[rec.key] = rec
-                if cache_fh:
-                    cache_fh.write(json.dumps(record_to_dict(rec)) + "\n")
+            for records in results:
+                for rec in records:
+                    if rec.reducible or rec.error:
+                        reported[rec.key] = rec
+                if cache_fh:  # one write and one flush per task
+                    cache_fh.write("".join(json.dumps(record_to_dict(rec)) + "\n"
+                                           for rec in records))
                     cache_fh.flush()
             hits.extend(reported[c] for c in cells if c in reported)
 
@@ -385,7 +444,7 @@ def convergence_table(a: complex, b: complex, n_list: Sequence[int],
     """
     limit = mahler.limit_measure(a, b).value
     rows = []
-    for n in sorted(set(int(n) for n in n_list)):
+    for n in sorted(set(_as_degree(n, "n") for n in n_list)):
         m = _m_for_rule(n, m_rule)
         result = mahler.measure_from_roots(TrinomialSpec(n, m, a, b))
         if isnan(result.error_bound):

@@ -11,6 +11,7 @@ from conftest import THETA0, bisect_root, coprime_pairs, expand_from_roots
 from trinotool import polycore
 from trinotool.errors import (
     ClassificationMismatch,
+    ConvergenceFailure,
     NonIntegerCoefficient,
     NotRepresentable,
     ParityViolated,
@@ -380,6 +381,65 @@ def test_all_roots_overflow_ends_early_as_all_nan(spec):
     assert len(rs) == spec[0] and all(cmath.isnan(r) for r in rs.roots)
     assert math.isnan(rs.residual_bound) and not rs.certified
     assert rs.iterations <= 3
+
+
+def _outcome(result):
+    # a solve's result or raised error, every field compared by repr
+    if isinstance(result, RootSet):
+        return ("RootSet", repr(result.roots), repr(result.residual_bound),
+                result.iterations, result.certified)
+    return (type(result).__name__, str(result), repr(getattr(result, "roots", None)),
+            repr(getattr(result, "residual_bound", None)))
+
+
+def _solo(spec):
+    try:
+        return _outcome(all_roots(spec))
+    except (ConvergenceFailure, ValueError) as exc:
+        return _outcome(exc)
+
+
+def test_batched_rows_equal_lone_solves():
+    # every orbit leader of the scan grid n <= 16, 0 < |a| <= 4, b = +/-1,
+    # every m, batched by (n, m): the whole group, reversed, a random half
+    # and one at a time; each row is all_roots on its spec alone, bit for bit
+    from trinotool import scan
+
+    a_values = [a for a in range(-4, 5) if a]
+    groups = {}
+    for leader in sorted({min(scan._orbit_moves(cell)) for cells in
+                          scan._degrees(16, a_values, (-1, 1), False) for cell in cells}):
+        groups.setdefault(leader[:2], []).append(TrinomialSpec(*leader))
+    rng = random.Random(38)
+    assert sum(map(len, groups.values())) > 400 and max(map(len, groups.values())) > 10
+    for specs in groups.values():
+        solo = {spec: _solo(spec) for spec in specs}
+        half = rng.sample(specs, max(1, len(specs) // 2))
+        for batch in (specs, specs[::-1], half, *([spec] for spec in specs)):
+            rows = polycore._all_roots_rows(batch)
+            assert [_outcome(row) for row in rows] == [solo[spec] for spec in batch], batch
+
+
+def test_batched_rows_that_fail_or_overflow_stay_their_own():
+    # a row that ends in ConvergenceFailure after every iteration, a row that
+    # goes all-NaN at its second step and a row whose coefficient is too
+    # large for floating point each come out as alone, and leave the others
+    # as they are alone
+    stalled = TrinomialSpec(120, 3, -40, 39)
+    batch = [stalled, TrinomialSpec(120, 3, -40, 1), TrinomialSpec(120, 3, 5, 1)]
+    for specs in (batch, batch[::-1]):
+        rows = polycore._all_roots_rows(specs)
+        assert [_outcome(row) for row in rows] == [_solo(spec) for spec in specs]
+    failure = rows[specs.index(stalled)]
+    assert isinstance(failure, ConvergenceFailure) and "512 iterations" in str(failure)
+    lost, kept, huge = (TrinomialSpec(30, 29, -1e15, -1), TrinomialSpec(30, 29, 3, 1),
+                        TrinomialSpec(30, 29, 10**400, 1))
+    rows = polycore._all_roots_rows([lost, kept, huge])
+    assert [_outcome(row) for row in rows] == [_solo(lost), _solo(kept), _solo(huge)]
+    assert rows[0].iterations == 2 and all(cmath.isnan(r) for r in rows[0].roots)
+    assert rows[1].certified and isinstance(rows[2], ValueError)
+    with pytest.raises(ValueError, match="one \\(n, m\\)"):
+        polycore._all_roots_rows([kept, TrinomialSpec(30, 1, 3, 1)])
 
 
 @pytest.mark.parametrize("where", range(4))

@@ -14,7 +14,7 @@ import pytest
 import trinotool
 from trinotool import factor, mahler, polycore, scan
 from trinotool.cli import _num, _Output, cli_dispatch
-from trinotool.errors import ConvergenceFailure
+from trinotool.errors import ConvergenceFailure, NonIntegerCoefficient
 from trinotool.polycore import TrinomialSpec, to_dense
 from trinotool.scan import (
     ConvergenceRow,
@@ -71,6 +71,25 @@ def test_scan_rejects_bad_input():
         scan_conjecture(5, [3], signs=[])
 
 
+@pytest.mark.parametrize("a_values, signs", [
+    ([2.5, -2.9], [1]), ([True], [1]), ([3], [1.7]), ([3], [True]), ([3 + 1j], [1]),
+])
+def test_scan_refuses_a_and_signs_that_are_not_integers(a_values, signs):
+    # int() read 2.5 as 2 and True as 1, and scanned cells nobody asked for
+    with pytest.raises(NonIntegerCoefficient):
+        scan_conjecture(6, a_values, signs)
+
+
+def test_scan_reads_integral_floats_as_integers():
+    assert scan_conjecture(8.0, [-3.0, 3.0], [-1.0]) == scan_conjecture(8, [-3, 3], [-1])
+
+
+@pytest.mark.parametrize("n_max", [6.5, "8", None])
+def test_scan_refuses_a_degree_that_is_not_an_integer(n_max):
+    with pytest.raises(ValueError, match=f"n_max must be an integer, got {n_max!r}"):
+        scan_conjecture(n_max, [3])
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_scan_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError):
@@ -103,6 +122,30 @@ def test_scan_cache_resume(tmp_path):
     assert again == full
     cached_after = open(cache).read().strip().splitlines()
     assert len(cached_after) == len(lines)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_resumed_across_split_groups_is_byte_identical(tmp_path, threads):
+    # every third line kept: most (n, {m, n - m}) groups have cells on both
+    # sides, so the resumed scan's tasks are not the fresh scan's; the report
+    # must still be byte-identical, and every record compute_scan_record's
+    argv = ("scan", "--n-max", "12", "--a", "-4,-3,-2,2,3,4", "--threads", str(threads))
+    cache = tmp_path / "cache.jsonl"
+    rc, fresh = run_cli(tmp_path, *argv, "--cache", str(cache))
+    assert rc == 0 and fresh
+    lines = cache.read_text().splitlines()
+    cache.write_text("\n".join(lines[::3]) + "\n")
+    keys = [record_from_dict(json.loads(line)).key for line in lines]
+    cached = set(keys[::3])
+    sides = {}
+    for n, m, a, b in keys:
+        sides.setdefault((n, min(m, n - m)), set()).add((n, m, a, b) in cached)
+    assert sum(seen == {True, False} for seen in sides.values()) > len(sides) // 2
+    assert run_cli(tmp_path, *argv, "--cache", str(cache)) == (0, fresh)
+    records = _cache_records(cache)
+    assert len(records) == len(lines) and len({r.key for r in records}) == len(lines)
+    for rec in records:
+        assert compute_scan_record(rec.key) == rec
 
 
 def _cells(n_max, a_values, signs, coprime_only):
@@ -225,18 +268,27 @@ def test_scan_factors_once_per_orbit(tmp_path, monkeypatch):
 
 
 def test_scan_solves_roots_once_per_orbit(tmp_path, monkeypatch):
-    solved = []
-    all_roots = polycore.all_roots
+    # one batched solve per (n, {m, n - m}) group of orbits, of the leaders
+    # of that group alone; the scan makes no lone all_roots call
+    batches = []
+    all_roots_rows = polycore._all_roots_rows
 
-    def spy(p):
-        solved.append((p.n, p.m, p.a, p.b))
-        return all_roots(p)
+    def spy(specs):
+        batches.append([(p.n, p.m, p.a, p.b) for p in specs])
+        return all_roots_rows(specs)
 
-    monkeypatch.setattr(polycore, "all_roots", spy)
+    def refuse(p):
+        raise AssertionError("the scan solved one leader alone")
+
+    monkeypatch.setattr(polycore, "_all_roots_rows", spy)
+    monkeypatch.setattr(polycore, "all_roots", refuse)
     cache = str(tmp_path / "cache.jsonl")
     scan_conjecture(9, [-3, 3], cache_path=cache)
     orbits = {_orbit_of(*r.key) for r in _cache_records(cache)}
+    solved = [leader for batch in batches for leader in batch]
     assert sorted(solved) == sorted(min(o) for o in orbits)
+    assert all(len({leader[:2] for leader in batch}) == 1 for batch in batches)
+    assert len(batches) == len({min(o)[:2] for o in orbits})
 
 
 @pytest.mark.parametrize("a_values", [[3], [-4, -3, 1, 2]])
@@ -248,8 +300,8 @@ def test_scan_records_equal_one_cell_records(a_values):
     if a_values == [3]:
         assert any(min(_orbit_of(*item)) not in items for item in items)
     records = {}
-    for orbit in scan._orbits(items):
-        records.update((r.key, r) for r in scan._scan_orbit(orbit))
+    for task in scan._tasks(scan._orbits(items)):
+        records.update((r.key, r) for r in scan._scan_task(task))
     for item in items:
         assert compute_scan_record(item) == records[item]
 
@@ -259,15 +311,14 @@ def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
     # the scan goes on and every other cell is computed as before
     failing = (8, 3, -3, -1)
     assert min(_orbit_of(*failing)) == failing
-    all_roots = polycore.all_roots
+    all_roots_rows = polycore._all_roots_rows
 
-    def flaky(p):
-        if (p.n, p.m, p.a, p.b) == failing:
-            raise ConvergenceFailure("no convergence")
-        return all_roots(p)
+    def flaky(specs):
+        return [ConvergenceFailure("no convergence") if (p.n, p.m, p.a, p.b) == failing
+                else roots for p, roots in zip(specs, all_roots_rows(specs))]
 
     clean = scan_conjecture(9, [-3, 3])
-    monkeypatch.setattr(polycore, "all_roots", flaky)
+    monkeypatch.setattr(polycore, "_all_roots_rows", flaky)
     cache = str(tmp_path / "cache.jsonl")
     hits = scan_conjecture(9, [-3, 3], cache_path=cache)
     records = {r.key: r for r in _cache_records(cache)}
@@ -286,14 +337,14 @@ def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
 
 def test_scan_orbit_mapping_errors_are_records(monkeypatch):
     orbit = sorted(_orbit_of(8, 3, 3, -1))
-    good = scan._scan_orbit(orbit)
+    good = scan._scan_task([orbit])
     assert [r.error for r in good] == [None] * 4
     assert all(r.factor_degrees == (3, 5) for r in good)
     # a wrong factor map (here: none) fails the re-expansion check of every
     # cell but the leader, whose move is the identity; the cells themselves
     # come from the tuples, not from _map_factor
     monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse: g)
-    bad = scan._scan_orbit(orbit)
+    bad = scan._scan_task([orbit])
     assert bad[0] == good[0]
     assert all(r.certificate == "error" and r.measure is None
                and r.error.startswith("InternalVerificationFailure") for r in bad[1:])
@@ -303,7 +354,18 @@ def test_scan_orbit_mapping_errors_are_records(monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setattr(factor, "is_irreducible", broken)
-    assert [r.error for r in scan._scan_orbit(orbit)] == ["ValueError: boom"] * 4
+    assert [r.error for r in scan._scan_task([orbit])] == ["ValueError: boom"] * 4
+
+
+@pytest.mark.parametrize("item, error", [
+    ((5, 7, 3, 1), "ValueError: need 0 < m < n, got m=-2, n=5"),
+    ((5, 2, 0, 1), "ValueError: a and b must be nonzero"),
+    ((5, 2, 3.5, 1), "NonIntegerCoefficient: expected an integer coefficient, got -3.5"),
+    ((5, 2, 10**400, 1), "ValueError: coefficient too large for floating point"),
+])
+def test_one_cell_record_of_a_cell_that_fails_is_an_error_record(item, error):
+    rec = compute_scan_record(item)
+    assert (rec.key, rec.certificate, rec.measure, rec.error) == (item, "error", None, error)
 
 
 def test_scan_cache_resume_split_orbits(tmp_path):
@@ -325,20 +387,20 @@ def test_scan_drops_each_degrees_irreducible_records(monkeypatch):
     # be, in a loop variable)
     alive = []
     seen = set()
-    scan_orbit = scan._scan_orbit
+    scan_task = scan._scan_task
 
-    def spy(orbit):
-        n = orbit[0][0]
+    def spy(orbits):
+        n = orbits[0][0][0]
         if n not in seen:
             seen.add(n)
             gc.collect()
             stale = [r.key for r in (ref() for ref in alive) if r and r.n <= n - 2]
             assert stale == []
-        records = scan_orbit(orbit)
+        records = scan_task(orbits)
         alive.extend(weakref.ref(r) for r in records if not r.reducible and not r.error)
         return records
 
-    monkeypatch.setattr(scan, "_scan_orbit", spy)
+    monkeypatch.setattr(scan, "_scan_task", spy)
     hits = scan_conjecture(12, [-3, -2, 2, 3])
     assert seen == set(range(3, 13)) and len(alive) > 100
     assert hits and all(r.reducible for r in hits)
@@ -353,12 +415,14 @@ def test_record_json_round_trip():
     assert rec2 == rec
 
 
-def test_scan_pool_is_capped_at_the_orbit_count(tmp_path, monkeypatch):
+def test_scan_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
     # a pool forks all its workers at once, so a scan asks for no more
-    # workers than it has orbits; the fake pool maps serially and starts none
+    # workers than it has tasks, one per (n, {m, n - m}) group of orbits at
+    # these degrees, each mapped alone; the fake pool maps serially and
+    # starts none
     import concurrent.futures
 
-    sizes = []
+    sizes, chunks = [], set()
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -371,6 +435,7 @@ def test_scan_pool_is_capped_at_the_orbit_count(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
+            chunks.add(chunksize)
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -379,11 +444,14 @@ def test_scan_pool_is_capped_at_the_orbit_count(tmp_path, monkeypatch):
     clean = scan_conjecture(*args, cache_path=str(cache))
     assert sizes == []
     orbits = scan._orbits(_cells(*args, (-1, 1), True))
+    tasks = [task for cells in scan._degrees(*args, (-1, 1), True)
+             for task in scan._tasks(scan._orbits(cells))]
+    assert len(tasks) == len({min(_orbit_of(*o[0]))[:2] for o in orbits}) < len(orbits)
     assert scan_conjecture(*args, threads=2) == clean
-    assert scan_conjecture(*args, threads=len(orbits) + 5) == clean
-    assert sizes == [2, len(orbits)]
-    # resumed with three orbits pending, then with one, which needs no pool
-    for dropped, size in ((orbits[:3], [3]), (orbits[:1], [])):
+    assert scan_conjecture(*args, threads=len(tasks) + 5) == clean
+    assert sizes == [2, len(tasks)] and chunks == {1}
+    # resumed with three tasks pending, then with one, which needs no pool
+    for dropped, size in (([task[0] for task in tasks[:3]], [3]), (tasks[0][:1], [])):
         sizes.clear()
         drop = {cell for orbit in dropped for cell in orbit}
         cache.write_text("".join(
@@ -485,6 +553,13 @@ def test_convergence_refuses_a_nan_measure():
         convergence_table(10**6, -1, [52, 56, 60], "last")
     with pytest.raises(ConvergenceFailure, match="n=10, m=1"):
         convergence_table(1e300, 1, [10], "fixed:1")
+
+
+def test_convergence_refuses_a_degree_that_is_not_an_integer():
+    # int() read 10.9 as 10 and reported a row for n = 10
+    with pytest.raises(ValueError, match="n must be an integer, got 10.9"):
+        convergence_table(3, 1, [10.9, 20.2])
+    assert convergence_table(3, 1, [10.0]) == convergence_table(3, 1, [10])
 
 
 def test_convergence_keeps_an_infinite_bound(monkeypatch):
@@ -988,8 +1063,9 @@ def test_cli_house_refuses_a_partly_nan_root_set(fmt, tmp_path, capsys, monkeypa
 
 def test_scan_house_is_nan_when_any_root_is(monkeypatch):
     # with and without the reversal: max|z| and 1/min|z| both see the NaN
-    monkeypatch.setattr(polycore, "all_roots", _partly_nan_roots)
-    records = scan._scan_orbit(sorted(_orbit_of(7, 3, 3, 1)))
+    monkeypatch.setattr(polycore, "_all_roots_rows",
+                        lambda specs: [_partly_nan_roots(p) for p in specs])
+    records = scan._scan_task([sorted(_orbit_of(7, 3, 3, 1))])
     assert len(records) == 4
     assert all(math.isnan(r.house) for r in records), records
 
