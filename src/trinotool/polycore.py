@@ -586,19 +586,22 @@ def _aberth(exps: list[int], rows: list[list[complex]], z: np.ndarray
     return solved
 
 
-def _all_roots_rows(specs: Sequence[TrinomialSpec]) -> list[RootSet | Exception]:
-    """``all_roots`` of trinomials that share n and m, in one batched Aberth
-    solve: row i is the RootSet all_roots(specs[i]) returns, bit for bit, or
-    the exception it raises (ConvergenceFailure, or ValueError for a
-    coefficient too large for floating point)."""
-    if len({(p.n, p.m) for p in specs}) > 1:
+def _all_roots_rows(trinomials: Sequence[tuple[int, int, complex, complex]]
+                    ) -> list[RootSet | Exception]:
+    """``all_roots`` of the trinomials (n, m, a, b), which share n and m, in
+    one batched Aberth solve: row i is all_roots(TrinomialSpec(*trinomials[i])),
+    bit for bit, or the exception that building or solving that spec raises
+    (ConvergenceFailure; TypeError or ValueError for a tuple that is no
+    trinomial or a coefficient too large for floating point)."""
+    if len({t[:2] for t in trinomials}) > 1:
         raise ValueError("a batched solve needs one (n, m)")
-    solved: list[RootSet | Exception | None] = [None] * len(specs)
+    solved: list[RootSet | Exception | None] = [None] * len(trinomials)
     batch, rows, seeds = [], [], []
-    for i, p in enumerate(specs):
+    for i, t in enumerate(trinomials):
         try:
+            p = TrinomialSpec(*t)
             exps, coeffs = _terms(p)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             solved[i] = exc
             continue
         batch.append(i)

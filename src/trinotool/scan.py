@@ -50,13 +50,16 @@ error of the leader's factorization or solve is every cell's record.
 Both moves keep n and the pair {m, n - m}, so the scan goes one degree at a
 time, and a task is the pending orbits of one (n, {m, n - m}) pair, whose
 leaders share (n, m): one batched root solve for all its leaders, then one
-factorization per leader.  A pair's orbits are split into tasks of at most
+factorization per leader.  ``_tasks`` builds a degree's tasks in one pass
+over its pending cells, finding each cell's leader once: a task is a list of
+(leader, cells) orbits, and a pair's orbits are split into tasks of at most
 _TASK_PAIRS // n^2 orbits (one past n = 512), so that a task's (k, n, n) pair
-buffer stays within 4 MiB, or one solve's.  Each task is one
-pool task; its records are appended to the cache in one write and one flush,
-and only the reported ones are kept.  So runs are deterministic regardless of
-the worker count, an interrupted scan resumes from the cache, and memory holds
-one or two degrees' work plus the report.
+buffer stays within 4 MiB, or one solve's.  Each task is one pool task, timed
+once per orbit (see ``ScanRecord.elapsed``); its records are appended to the
+cache in one write and one flush, and only the reported ones are kept.  So
+runs are deterministic regardless of the worker count, an interrupted scan
+resumes from the cache, and memory holds one or two degrees' work plus the
+report.
 """
 
 from __future__ import annotations
@@ -81,13 +84,13 @@ class ScanRecord:
     """One scanned trinomial; unique per (n, m, a, b).
 
     ``factor_degrees`` sums to n; two or more entries iff reducible.
-    ``elapsed`` (seconds) is the cell's own time: its check of the mapped
-    factorization, plus, for the first pending cell of its orbit, the
-    leader's ``is_irreducible`` call, which the orbit shares, and an equal
-    share of its task's batched root solve, which the task's orbits share,
-    so the elapsed times of a scan sum to its compute time.  It is
-    informational and excluded from equality so that records survive cache
-    round trips and thread-count changes unchanged.
+    ``elapsed`` (seconds) is the cell's equal share of its orbit's time: the
+    leader's ``is_irreducible`` call and every pending cell's check of the
+    mapped factorization, plus the orbit's equal share of its task's batched
+    root solve, divided among the orbit's pending cells.  So the cells of an
+    orbit read alike, and the elapsed times of a scan sum to its compute
+    time.  It is informational and excluded from equality so that records
+    survive cache round trips and thread-count changes unchanged.
     """
 
     n: int
@@ -131,18 +134,6 @@ def _orbit_moves(item: tuple[int, int, int, int]
     return moves
 
 
-def _orbits(pending: list[tuple[int, int, int, int]]
-            ) -> list[tuple[tuple[int, int, int, int], ...]]:
-    """Group the pending cells by orbit, under its leader
-    ``min(_orbit_moves(cell))``, each orbit in the order of its first cell in
-    pending and its cells in pending order; an orbit holds only pending
-    cells, so a resumed scan may split one."""
-    orbits: dict[tuple[int, int, int, int], list[tuple[int, int, int, int]]] = {}
-    for cell in pending:
-        orbits.setdefault(min(_orbit_moves(cell)), []).append(cell)
-    return [tuple(orbit) for orbit in orbits.values()]
-
-
 def _map_factor(g: IntPolynomial, negate: bool, reverse: bool) -> IntPolynomial:
     c = list(g.coeffs)
     if reverse:
@@ -175,33 +166,43 @@ def _factor_degrees(verdict: factor.IrreducibilityVerdict, move: tuple[bool, boo
 _TASK_PAIRS = 1 << 18  # pair-buffer entries of one task's solve: 4 MiB of complex
 
 
-def _scan_task(orbits: Sequence[Sequence[tuple[int, int, int, int]]]) -> list[ScanRecord]:
-    """The records of a task's orbits, whose leaders share (n, m) (see the
-    module docstring), in orbit order.  The leaders' roots come from one
-    batched solve; then each leader is factored with one
+def _tasks(pending: list[tuple[int, int, int, int]]
+           ) -> list[list[tuple[tuple[int, int, int, int], list[tuple[int, int, int, int]]]]]:
+    """The pending cells as tasks of (leader, cells) orbits.  An orbit is the
+    pending cells of one leader ``min(_orbit_moves(cell))``, in pending order;
+    a resumed scan may split one.  The orbits are grouped by their leader's
+    (n, m), each group in the order of its first cell and its orbits in the
+    order of theirs, and split so that a task's pair buffer, k n^2 complex
+    entries for k leaders, stays within _TASK_PAIRS."""
+    groups: dict[tuple[int, int], dict[tuple[int, int, int, int], list]] = {}
+    for cell in pending:
+        leader = min(_orbit_moves(cell))
+        groups.setdefault(leader[:2], {}).setdefault(leader, []).append(cell)
+    tasks = []
+    for (n, _), group in groups.items():
+        orbits, size = list(group.items()), max(1, _TASK_PAIRS // n ** 2)
+        tasks += (orbits[i:i + size] for i in range(0, len(orbits), size))
+    return tasks
+
+
+def _scan_task(task: Sequence[tuple[tuple[int, int, int, int],
+                                    Sequence[tuple[int, int, int, int]]]]) -> list[ScanRecord]:
+    """The records of a task's (leader, cells) orbits, whose leaders share
+    (n, m) (see the module docstring), in orbit order.  The leaders' roots
+    come from one batched solve; then each leader is factored with one
     ``factor.is_irreducible`` call, and each cell's record holds the
     leader's verdict and measure, its own mapped factor degrees and its
     house, or, if the leader's work or the cell's own check failed, the
     error.  The factorization runs first, so its error is the one a cell
     reports when both fail."""
     start = time.perf_counter()
-    leaders = [min(_orbit_moves(orbit[0])) for orbit in orbits]
-    specs = []
-    for leader in leaders:
-        try:
-            specs.append(TrinomialSpec(*leader))
-        except Exception as exc:  # no trinomial (compute_scan_record's cell): the orbit's error
-            specs.append(exc)
-    rows = iter(polycore._all_roots_rows([p for p in specs if isinstance(p, TrinomialSpec)]))
-    solved = [next(rows) if isinstance(p, TrinomialSpec) else p for p in specs]
-    share = (time.perf_counter() - start) / len(orbits)  # each orbit's part of the solve
+    solved = polycore._all_roots_rows([leader for leader, _ in task])
+    share = (time.perf_counter() - start) / len(task)  # each orbit's part of the solve
     records = []
-    for orbit, leader, spec, roots in zip(orbits, leaders, specs, solved):
-        start = time.perf_counter() - share
+    for (leader, cells), roots in zip(task, solved):
+        start = time.perf_counter()
         try:
-            if isinstance(spec, Exception):
-                raise spec
-            verdict = factor.is_irreducible(to_dense(spec))
+            verdict = factor.is_irreducible(to_dense(TrinomialSpec(*leader)))
             if isinstance(roots, Exception):
                 raise roots
             measure = mahler.measure_from_root_set(roots).value
@@ -209,49 +210,33 @@ def _scan_task(orbits: Sequence[Sequence[tuple[int, int, int, int]]]) -> list[Sc
             failure = None
         except Exception as exc:  # every cell of the orbit reports it
             failure = exc
-        moves = _orbit_moves(leader)
-        for item in orbit:
+        moves, outcomes = _orbit_moves(leader), []
+        for cell in cells:
             try:
                 if failure is not None:
                     raise failure
                 fields = dict(
                     reducible=verdict.reducible,
-                    factor_degrees=_factor_degrees(verdict, moves[item],
-                                                   to_dense(TrinomialSpec(*item))),
+                    factor_degrees=_factor_degrees(verdict, moves[cell],
+                                                   to_dense(TrinomialSpec(*cell))),
                     certificate=verdict.certificate,
                     measure=measure,
-                    house=houses[moves[item][1]],
+                    house=houses[moves[cell][1]],
                 )
             except Exception as exc:  # errored rows are reported, never dropped
                 fields = dict(reducible=False, factor_degrees=(), certificate="error",
                               measure=None, house=None, error=f"{type(exc).__name__}: {exc}")
-            records.append(ScanRecord(*item, **fields, elapsed=time.perf_counter() - start))
-            start = time.perf_counter()
+            outcomes.append(fields)
+        elapsed = (time.perf_counter() - start + share) / len(cells)
+        records += (ScanRecord(*cell, **fields, elapsed=elapsed)
+                    for cell, fields in zip(cells, outcomes))
     return records
-
-
-def _tasks(orbits: list[tuple[tuple[int, int, int, int], ...]]
-           ) -> list[list[tuple[tuple[int, int, int, int], ...]]]:
-    """The orbits grouped by their leader's (n, m), each group in the order of
-    its first orbit and its orbits in orbit order, and split so that a task's
-    pair buffer, k n^2 complex entries for k leaders, stays within
-    _TASK_PAIRS.  Every cell of an orbit has m or n - m, so the leader's m is
-    min(m, n - m) of any of them."""
-    groups: dict[tuple[int, int], list[tuple[tuple[int, int, int, int], ...]]] = {}
-    for orbit in orbits:
-        n, m = orbit[0][:2]
-        groups.setdefault((n, min(m, n - m)), []).append(orbit)
-    tasks = []
-    for (n, _), group in groups.items():
-        size = max(1, _TASK_PAIRS // n ** 2)
-        tasks += (group[i:i + size] for i in range(0, len(group), size))
-    return tasks
 
 
 def compute_scan_record(item: tuple[int, int, int, int]) -> ScanRecord:
     """Factor one trinomial and attach its measure and house: the scan of a
     one-cell orbit."""
-    return _scan_task([(item,)])[0]
+    return _scan_task(_tasks([item])[0])[0]
 
 
 def _degrees(n_max: int, a_values: Iterable[int], signs: Iterable[int],
@@ -363,14 +348,16 @@ def scan_conjecture(n_max: int, a_values: Iterable[int], signs: Iterable[int] = 
     All completed records, including irreducible ones, are appended to the
     cache file when one is given; a rerun with the same cache skips finished
     cells and reproduces the same record set.  ``threads`` is the number of
-    worker processes (>= 1), capped at the pending tasks; one needs no pool.
+    worker processes (>= 1; 2.0 is 2), capped at the pending tasks; one
+    needs no pool.
     """
+    threads = _as_degree(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     degrees = _degrees(n_max, a_values, signs, coprime_only)
     cached, reported = _load_cache(cache_path) if cache_path else (set(), {})
-    # each degree's cells and the tasks of its pending orbits
-    work = ((cells, _tasks(_orbits([c for c in cells if c not in cached])))
+    # each degree's cells and its pending cells' tasks
+    work = ((cells, _tasks([c for c in cells if c not in cached]))
             for cells in degrees)
     # the pool size reads the pending tasks, counted only up to threads
     head, count = [], 0

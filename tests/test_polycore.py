@@ -409,37 +409,39 @@ def test_batched_rows_equal_lone_solves():
     groups = {}
     for leader in sorted({min(scan._orbit_moves(cell)) for cells in
                           scan._degrees(16, a_values, (-1, 1), False) for cell in cells}):
-        groups.setdefault(leader[:2], []).append(TrinomialSpec(*leader))
+        groups.setdefault(leader[:2], []).append(leader)
     rng = random.Random(38)
     assert sum(map(len, groups.values())) > 400 and max(map(len, groups.values())) > 10
-    for specs in groups.values():
-        solo = {spec: _solo(spec) for spec in specs}
-        half = rng.sample(specs, max(1, len(specs) // 2))
-        for batch in (specs, specs[::-1], half, *([spec] for spec in specs)):
+    for leaders in groups.values():
+        solo = {leader: _solo(TrinomialSpec(*leader)) for leader in leaders}
+        half = rng.sample(leaders, max(1, len(leaders) // 2))
+        for batch in (leaders, leaders[::-1], half, *([leader] for leader in leaders)):
             rows = polycore._all_roots_rows(batch)
-            assert [_outcome(row) for row in rows] == [solo[spec] for spec in batch], batch
+            assert [_outcome(row) for row in rows] == [solo[leader] for leader in batch], batch
 
 
 def test_batched_rows_that_fail_or_overflow_stay_their_own():
     # a row that ends in ConvergenceFailure after every iteration, a row that
-    # goes all-NaN at its second step and a row whose coefficient is too
-    # large for floating point each come out as alone, and leave the others
-    # as they are alone
-    stalled = TrinomialSpec(120, 3, -40, 39)
-    batch = [stalled, TrinomialSpec(120, 3, -40, 1), TrinomialSpec(120, 3, 5, 1)]
-    for specs in (batch, batch[::-1]):
-        rows = polycore._all_roots_rows(specs)
-        assert [_outcome(row) for row in rows] == [_solo(spec) for spec in specs]
-    failure = rows[specs.index(stalled)]
+    # goes all-NaN at its second step, a row whose coefficient is too large
+    # for floating point and rows that are no trinomial each come out as
+    # alone, and leave the others as they are alone
+    stalled = (120, 3, -40, 39)
+    batch = [stalled, (120, 3, -40, 1), (120, 3, 5, 1)]
+    for rows in (batch, batch[::-1]):
+        solved = polycore._all_roots_rows(rows)
+        assert [_outcome(row) for row in solved] == [_solo(TrinomialSpec(*row)) for row in rows]
+    failure = solved[rows.index(stalled)]
     assert isinstance(failure, ConvergenceFailure) and "512 iterations" in str(failure)
-    lost, kept, huge = (TrinomialSpec(30, 29, -1e15, -1), TrinomialSpec(30, 29, 3, 1),
-                        TrinomialSpec(30, 29, 10**400, 1))
-    rows = polycore._all_roots_rows([lost, kept, huge])
-    assert [_outcome(row) for row in rows] == [_solo(lost), _solo(kept), _solo(huge)]
+    lost, kept, huge = (30, 29, -1e15, -1), (30, 29, 3, 1), (30, 29, 10**400, 1)
+    rows = polycore._all_roots_rows([lost, kept, huge, (30, 29, 0, 1), (30.0, 29, 3, 1)])
+    assert [_outcome(row) for row in rows[:3]] == [
+        _solo(TrinomialSpec(*row)) for row in (lost, kept, huge)]
     assert rows[0].iterations == 2 and all(cmath.isnan(r) for r in rows[0].roots)
     assert rows[1].certified and isinstance(rows[2], ValueError)
+    assert [(type(row), str(row)) for row in rows[3:]] == [
+        (ValueError, "a and b must be nonzero"), (TypeError, "n and m must be integers")]
     with pytest.raises(ValueError, match="one \\(n, m\\)"):
-        polycore._all_roots_rows([kept, TrinomialSpec(30, 1, 3, 1)])
+        polycore._all_roots_rows([kept, (30, 1, 3, 1)])
 
 
 @pytest.mark.parametrize("where", range(4))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -81,7 +82,8 @@ def test_scan_refuses_a_and_signs_that_are_not_integers(a_values, signs):
 
 
 def test_scan_reads_integral_floats_as_integers():
-    assert scan_conjecture(8.0, [-3.0, 3.0], [-1.0]) == scan_conjecture(8, [-3, 3], [-1])
+    assert scan_conjecture(8.0, [-3.0, 3.0], [-1.0], threads=2.0) == (
+        scan_conjecture(8, [-3, 3], [-1]))
 
 
 @pytest.mark.parametrize("n_max", [6.5, "8", None])
@@ -94,6 +96,16 @@ def test_scan_refuses_a_degree_that_is_not_an_integer(n_max):
 def test_scan_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError):
         scan_conjecture(5, [3], threads=threads)
+
+
+@pytest.mark.parametrize("threads", [2.5, True, "2"])
+def test_scan_refuses_threads_that_are_not_integers(tmp_path, threads):
+    # 2.5 failed inside multiprocessing after the cache file was created,
+    # "2" failed on a comparison, and True ran one worker
+    cache = tmp_path / "cache.jsonl"
+    with pytest.raises(ValueError, match=f"threads must be an integer, got {threads!r}"):
+        scan_conjecture(9, [-3, 3], threads=threads, cache_path=str(cache))
+    assert not cache.exists()
 
 
 def test_scan_threads_default_to_one():
@@ -188,7 +200,7 @@ def test_scan_orbits_match_per_cell_factoring(tmp_path):
     # bounds of the cell's own solve
     args = (16, [-2, 1, 2, 3], (-1, 1))
     items = _cells(*args, coprime_only=False)
-    assert {len(o) for o in scan._orbits(items)} == {1, 2, 3, 4}
+    assert {len(cells) for task in scan._tasks(items) for _, cells in task} == {1, 2, 3, 4}
     cache = str(tmp_path / "cache.jsonl")
     scan_conjecture(*args, coprime_only=False, cache_path=cache)
     records = _cache_records(cache)
@@ -215,22 +227,29 @@ def test_scan_orbits_match_per_cell_factoring(tmp_path):
 def test_orbit_cells_are_the_mapped_first_cell():
     # the cells of an orbit and the map of its factors follow one rule; on a
     # resumed pending list (every other cell) an orbit holds only its pending
-    # cells, all under one leader, and starts with the first of them
+    # cells, in pending order, all under its leader; the orbits come grouped
+    # by the leader's (n, m), groups and orbits in the order of their first
+    # cell, and a task holds one group's orbits
     items = _cells(24, [-4, -3, -2, -1, 1, 2, 3, 4], (-1, 1), coprime_only=False)
     for pending in (items, items[::2]):
         position = {cell: i for i, cell in enumerate(pending)}
-        orbits = scan._orbits(pending)
-        assert sorted(cell for orbit in orbits for cell in orbit) == sorted(pending)
-        assert [position[orbit[0]] for orbit in orbits] == sorted(
-            position[orbit[0]] for orbit in orbits)
-        for orbit in orbits:
-            moves = scan._orbit_moves(orbit[0])
-            assert set(moves) == _orbit_of(*orbit[0])
-            assert set(orbit) == set(moves) & position.keys()
-            assert orbit[0] == min(set(orbit), key=position.get)
-            assert len({min(scan._orbit_moves(cell)) for cell in orbit}) == 1
-            first = to_dense(TrinomialSpec(*orbit[0]))
-            for cell in orbit:
+        tasks = scan._tasks(pending)
+        assert all(len({leader[:2] for leader, _ in task}) == 1 for task in tasks)
+        orbits = [orbit for task in tasks for orbit in task]
+        assert sorted(cell for _, cells in orbits for cell in cells) == sorted(pending)
+        group_first = {}
+        for leader, cells in orbits:
+            group_first.setdefault(leader[:2], position[cells[0]])
+        assert orbits == sorted(orbits, key=lambda orbit: (
+            group_first[orbit[0][:2]], position[orbit[1][0]]))
+        for leader, cells in orbits:
+            moves = scan._orbit_moves(cells[0])
+            assert set(moves) == _orbit_of(*cells[0])
+            assert set(cells) == set(moves) & position.keys()
+            assert list(cells) == sorted(cells, key=position.get)
+            assert {min(scan._orbit_moves(cell)) for cell in cells} == {min(moves)} == {leader}
+            first = to_dense(TrinomialSpec(*cells[0]))
+            for cell in cells:
                 assert scan._map_factor(first, *moves[cell]) == to_dense(TrinomialSpec(*cell))
 
 
@@ -244,7 +263,7 @@ def test_orbits_build_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(scan, "_map_factor", refuse)
     monkeypatch.setattr(scan, "to_dense", refuse)
-    orbits = scan._orbits(items)
+    orbits = [cells for task in scan._tasks(items) for _, cells in task]
     assert len(orbits) == len({frozenset(orbit) for orbit in orbits})
     assert {frozenset(orbit) for orbit in orbits} == {_orbit_of(*item) for item in items}
 
@@ -273,9 +292,9 @@ def test_scan_solves_roots_once_per_orbit(tmp_path, monkeypatch):
     batches = []
     all_roots_rows = polycore._all_roots_rows
 
-    def spy(specs):
-        batches.append([(p.n, p.m, p.a, p.b) for p in specs])
-        return all_roots_rows(specs)
+    def spy(rows):
+        batches.append(list(rows))
+        return all_roots_rows(rows)
 
     def refuse(p):
         raise AssertionError("the scan solved one leader alone")
@@ -300,10 +319,55 @@ def test_scan_records_equal_one_cell_records(a_values):
     if a_values == [3]:
         assert any(min(_orbit_of(*item)) not in items for item in items)
     records = {}
-    for task in scan._tasks(scan._orbits(items)):
+    for task in scan._tasks(items):
         records.update((r.key, r) for r in scan._scan_task(task))
     for item in items:
         assert compute_scan_record(item) == records[item]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_split_groups_match_the_unsplit_scan(tmp_path, monkeypatch, threads):
+    # with _TASK_PAIRS = 64 a task holds at most max(1, 64 // n^2) orbits, so
+    # one from n = 6 on, and most (n, {m, n - m}) groups span several tasks;
+    # each task keeps one (n, m), and the records are the unsplit scan's
+    args = (12, [-4, -3, -2, 2, 3, 4])
+    whole = tmp_path / "whole.jsonl"
+    hits = scan_conjecture(*args, cache_path=str(whole))
+    tasks = []
+    make_tasks = scan._tasks
+
+    def spy(pending):
+        made = make_tasks(pending)
+        tasks.extend(made)
+        return made
+
+    monkeypatch.setattr(scan, "_TASK_PAIRS", 64)
+    monkeypatch.setattr(scan, "_tasks", spy)
+    split = tmp_path / "split.jsonl"
+    assert scan_conjecture(*args, threads=threads, cache_path=str(split)) == hits
+    assert _cache_records(split) == _cache_records(whole)
+    assert len(tasks) > 2 * len({leader[:2] for task in tasks for leader, _ in task})
+    for task in tasks:
+        n = task[0][0][0]
+        assert len(task) <= max(1, 64 // n ** 2)
+        assert len({leader[:2] for leader, _ in task}) == 1
+
+
+def test_scan_elapsed_is_each_orbits_time_shared_by_its_cells(tmp_path):
+    # the pending cells of an orbit carry one equal, positive share of the
+    # orbit's time, and the shares of a serial scan sum to at most its wall
+    # time
+    cache = tmp_path / "cache.jsonl"
+    start = time.perf_counter()
+    scan_conjecture(12, [-4, -3, -2, 2, 3, 4], cache_path=str(cache))
+    wall = time.perf_counter() - start
+    records = _cache_records(cache)
+    shares = {}
+    for rec in records:
+        shares.setdefault(min(_orbit_of(*rec.key)), []).append(rec.elapsed)
+    assert max(map(len, shares.values())) == 4
+    assert all(len(set(orbit)) == 1 and orbit[0] > 0 for orbit in shares.values())
+    assert sum(rec.elapsed for rec in records) <= wall
 
 
 def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
@@ -313,9 +377,9 @@ def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
     assert min(_orbit_of(*failing)) == failing
     all_roots_rows = polycore._all_roots_rows
 
-    def flaky(specs):
-        return [ConvergenceFailure("no convergence") if (p.n, p.m, p.a, p.b) == failing
-                else roots for p, roots in zip(specs, all_roots_rows(specs))]
+    def flaky(rows):
+        return [ConvergenceFailure("no convergence") if row == failing
+                else roots for row, roots in zip(rows, all_roots_rows(rows))]
 
     clean = scan_conjecture(9, [-3, 3])
     monkeypatch.setattr(polycore, "_all_roots_rows", flaky)
@@ -337,14 +401,15 @@ def test_scan_leader_solve_failure_is_every_cells_record(tmp_path, monkeypatch):
 
 def test_scan_orbit_mapping_errors_are_records(monkeypatch):
     orbit = sorted(_orbit_of(8, 3, 3, -1))
-    good = scan._scan_task([orbit])
+    task = [(orbit[0], orbit)]  # the leader is the least cell
+    good = scan._scan_task(task)
     assert [r.error for r in good] == [None] * 4
     assert all(r.factor_degrees == (3, 5) for r in good)
     # a wrong factor map (here: none) fails the re-expansion check of every
     # cell but the leader, whose move is the identity; the cells themselves
     # come from the tuples, not from _map_factor
     monkeypatch.setattr(scan, "_map_factor", lambda g, negate, reverse: g)
-    bad = scan._scan_task([orbit])
+    bad = scan._scan_task(task)
     assert bad[0] == good[0]
     assert all(r.certificate == "error" and r.measure is None
                and r.error.startswith("InternalVerificationFailure") for r in bad[1:])
@@ -354,7 +419,7 @@ def test_scan_orbit_mapping_errors_are_records(monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setattr(factor, "is_irreducible", broken)
-    assert [r.error for r in scan._scan_task([orbit])] == ["ValueError: boom"] * 4
+    assert [r.error for r in scan._scan_task(task)] == ["ValueError: boom"] * 4
 
 
 @pytest.mark.parametrize("item, error", [
@@ -389,14 +454,14 @@ def test_scan_drops_each_degrees_irreducible_records(monkeypatch):
     seen = set()
     scan_task = scan._scan_task
 
-    def spy(orbits):
-        n = orbits[0][0][0]
+    def spy(task):
+        n = task[0][0][0]  # the first leader's
         if n not in seen:
             seen.add(n)
             gc.collect()
             stale = [r.key for r in (ref() for ref in alive) if r and r.n <= n - 2]
             assert stale == []
-        records = scan_task(orbits)
+        records = scan_task(task)
         alive.extend(weakref.ref(r) for r in records if not r.reducible and not r.error)
         return records
 
@@ -443,17 +508,17 @@ def test_scan_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
     clean = scan_conjecture(*args, cache_path=str(cache))
     assert sizes == []
-    orbits = scan._orbits(_cells(*args, (-1, 1), True))
+    orbits = {_orbit_of(*cell) for cell in _cells(*args, (-1, 1), True)}
     tasks = [task for cells in scan._degrees(*args, (-1, 1), True)
-             for task in scan._tasks(scan._orbits(cells))]
-    assert len(tasks) == len({min(_orbit_of(*o[0]))[:2] for o in orbits}) < len(orbits)
+             for task in scan._tasks(cells)]
+    assert len(tasks) == len({min(o)[:2] for o in orbits}) < len(orbits)
     assert scan_conjecture(*args, threads=2) == clean
     assert scan_conjecture(*args, threads=len(tasks) + 5) == clean
     assert sizes == [2, len(tasks)] and chunks == {1}
     # resumed with three tasks pending, then with one, which needs no pool
     for dropped, size in (([task[0] for task in tasks[:3]], [3]), (tasks[0][:1], [])):
         sizes.clear()
-        drop = {cell for orbit in dropped for cell in orbit}
+        drop = {cell for _, cells in dropped for cell in cells}
         cache.write_text("".join(
             line for line in cache.read_text().splitlines(keepends=True)
             if record_from_dict(json.loads(line)).key not in drop))
@@ -1065,7 +1130,8 @@ def test_scan_house_is_nan_when_any_root_is(monkeypatch):
     # with and without the reversal: max|z| and 1/min|z| both see the NaN
     monkeypatch.setattr(polycore, "_all_roots_rows",
                         lambda specs: [_partly_nan_roots(p) for p in specs])
-    records = scan._scan_task([sorted(_orbit_of(7, 3, 3, 1))])
+    orbit = sorted(_orbit_of(7, 3, 3, 1))
+    records = scan._scan_task([(orbit[0], orbit)])
     assert len(records) == 4
     assert all(math.isnan(r.house) for r in records), records
 
