@@ -60,7 +60,7 @@ from .errors import (
     GcdNotOne,
     InternalVerificationFailure,
 )
-from .polycore import IntPolynomial, dense_mul
+from .polycore import IntPolynomial, TrinomialSpec, dense_mul
 
 
 @dataclass(frozen=True)
@@ -862,10 +862,9 @@ def threshold_irreducible(n: int, m: int, a: int) -> IrreducibilityVerdict | Non
     certificate for both signs of the constant term); None when inconclusive.
     Never claims reducibility.
     """
-    if n < 3 or not 0 < m < n:
-        raise ValueError(f"need n >= 3 and 0 < m < n, got n={n}, m={m}")
-    if a == 0:
-        raise ValueError("a must be nonzero")
+    TrinomialSpec(n, m, a, 1)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got n={n}")
     if gcd(m, n) != 1:
         raise CoprimalityViolated(f"gcd({m}, {n}) != 1")
     if 3 * abs(a) >= n * n:

@@ -99,8 +99,8 @@ def measure_from_roots(p: Union[TrinomialSpec, IntPolynomial]) -> MeasureResult:
     """M(P) = |leading| * prod max(1, |root|) from the roots that
     polycore.all_roots solves, certified or not: the error bound comes from
     their residual bound either way."""
-    lead = abs(p.coeffs[-1]) if isinstance(p, IntPolynomial) else 1.0
-    return measure_from_root_set(polycore.all_roots(p), lead)
+    rs = polycore.all_roots(p)  # first: it refuses the zero polynomial
+    return measure_from_root_set(rs, abs(p.coeffs[-1]) if isinstance(p, IntPolynomial) else 1.0)
 
 
 def measure_from_root_set(rs: RootSet, lead: float = 1.0) -> MeasureResult:
@@ -334,13 +334,10 @@ def limit_measure(a: complex, b: complex) -> MeasureResult:
 
 
 def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
+    TrinomialSpec(n, m, a, b)
     if gcd(m, n) != 1:
         raise CoprimalityViolated(f"gcd({m}, {n}) = {gcd(m, n)} != 1")
     require_float(a, b)
-    if a == 0 or b == 0:
-        raise ValueError("a and b must be nonzero")
     if abs(a) - abs(b) < 1.0:
         raise DominanceViolated(
             f"series requires |a| - |b| >= 1, got {abs(a) - abs(b):.6g}"
@@ -352,7 +349,7 @@ def _sign_power(x: float, e: int) -> float:
 
 
 def _term_parts(k: int, n: int, m: int, a: complex, b: complex) -> tuple[float, float]:
-    """(envelope, cos factor) of C(kn-1, km-1) * Re(b^(-km) (b/a)^(kn)).
+    """(envelope, cos factor) of (-1)^(kn) C(kn-1, km-1) Re(b^(-km) (b/a)^(kn)).
 
     The binomial is combined with the power magnitudes in log space before
     exponentiating; small terms survive where the raw binomial would overflow.
@@ -360,13 +357,12 @@ def _term_parts(k: int, n: int, m: int, a: complex, b: complex) -> tuple[float, 
     ln_binom = lgamma(k * n) - lgamma(k * m) - lgamma(k * (n - m) + 1)
     ln_mag = -k * m * math.log(abs(b)) + k * n * (math.log(abs(b)) - math.log(abs(a)))
     envelope = math.exp(ln_binom + ln_mag)
+    sign = -1.0 if (k * n) % 2 else 1.0
     if isinstance(a, complex) or isinstance(b, complex):
         phase = -k * m * cmath.phase(complex(b)) + k * n * (
             cmath.phase(complex(b)) - cmath.phase(complex(a)))
-        cosf = math.cos(phase)
-    else:
-        cosf = _sign_power(b, k * (n - m)) * _sign_power(a, k * n)
-    return envelope, cosf
+        return envelope, sign * math.cos(phase)
+    return envelope, sign * _sign_power(b, k * (n - m)) * _sign_power(a, k * n)
 
 
 def series_measure(n: int, m: int, a: complex, b: complex,
@@ -374,7 +370,7 @@ def series_measure(n: int, m: int, a: complex, b: complex,
     """Exact-series evaluation of log M, truncated at |term| < tol or after
     _MAX_TERMS terms.
 
-    Requires gcd(m, n) = 1 and |a| - |b| >= 1.  With N = kn,
+    Requires gcd(m, n) = 1, |a| - |b| >= 1 and 0 <= tol < inf.  With N = kn,
     K = km, L = k(n-m) and theta = m^m (n-m)^(n-m) / n^n, Robbins' Stirling
     bounds (Amer. Math. Monthly 62 (1955)) put C(N, K) theta^k between
     exp(1/(12N+1) - 1/(12K) - 1/(12L)) and exp(1/(12N) - 1/(12K+1) - 1/(12L+1))
@@ -386,6 +382,8 @@ def series_measure(n: int, m: int, a: complex, b: complex,
     decay like k^(-3/2): a rho of 1 to rounding raises DivergenceDetected.
     """
     _check_series_domain(n, m, a, b)
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     parts = (n * math.log(n), -m * math.log(m), -(n - m) * math.log(n - m),
              (n - m) * math.log(abs(b)), -n * math.log(abs(a)))
     log_rho = sum(parts)
@@ -397,8 +395,7 @@ def series_measure(n: int, m: int, a: complex, b: complex,
     terms: list[SeriesTerm] = []
     for k in range(1, _MAX_TERMS + 1):
         env, cosf = _term_parts(k, n, m, a, b)
-        sign = -1.0 if (k * n) % 2 else 1.0
-        s_k = sign * env * cosf / (k * m)
+        s_k = env * cosf / (k * m)
         terms.append(SeriesTerm(k=k, closed_form=s_k))
         total += s_k
         if env / (k * m) < tol:
@@ -427,8 +424,7 @@ def residue_term(k: int, n: int, m: int, a: complex, b: complex,
         j = k // m
         # residue at infinity = -(-1)^(jn) C(jn-1, k-1) b^(j(n-m)) a^(-jn)
         env, cosf = _term_parts(j, n, m, a, b)
-        sign = -1.0 if (j * n) % 2 else 1.0
-        closed = -(1.0 / k) * sign * env * cosf
+        closed = -(1.0 / k) * env * cosf
 
     i_k = None
     if with_quadrature:

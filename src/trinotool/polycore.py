@@ -1,9 +1,10 @@
 """Trinomial and dense-polynomial primitives.
 
-A trinomial is z^n + a z^m + b with 0 < m < n and a, b nonzero (possibly
-complex).  Dense integer polynomials are stored as tuples of coefficients in
-ascending degree order: [c0, c1, ..., cn] is c0 + c1 z + ... + cn z^n, with a
-nonzero leading coefficient unless the polynomial is zero (empty tuple).
+A trinomial is z^n + a z^m + b with ints 0 < m < n and a, b finite, nonzero
+and possibly complex, none a bool: ``TrinomialSpec`` states the rule, and each
+reader of a raw (n, m, a, b) builds one.  Dense integer polynomials are tuples
+of coefficients in ascending degree order: [c0, c1, ..., cn] is c0 + c1 z +
+... + cn z^n, with a nonzero leading coefficient unless zero (the empty tuple).
 
 Sign-normalised families, obtained from integer trinomials with b = +/-1 by an
 optional z -> -z substitution:
@@ -92,11 +93,13 @@ np = _lazy_import("numpy")
 
 
 def require_finite(*coeffs) -> None:
-    """Raise ValueError for a float or complex coefficient that is not finite.
+    """Refuse a bool (TypeError) and a non-finite float or complex (ValueError).
 
     Python ints of any size stay legal: the factorizer needs them exact.
     """
     for c in coeffs:
+        if isinstance(c, bool):
+            raise TypeError(f"coefficients must be numbers, not bool, got {c!r}")
         if isinstance(c, (float, complex)) and not cmath.isfinite(c):
             raise ValueError(f"coefficients must be finite, got {c!r}")
 
@@ -123,7 +126,7 @@ def _as_int(x) -> int:
 
 @dataclass(frozen=True)
 class TrinomialSpec:
-    """The trinomial z^n + a z^m + b."""
+    """The trinomial z^n + a z^m + b, the one statement of its rule."""
 
     n: int
     m: int
@@ -131,7 +134,7 @@ class TrinomialSpec:
     b: complex
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (self.n, self.m)):
             raise TypeError("n and m must be integers")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
@@ -169,13 +172,12 @@ class FamilyForm:
     def __post_init__(self):
         if self.family not in ("R", "S", "T"):
             raise ValueError(f"family must be 'R', 'S' or 'T', got {self.family!r}")
-        if not 0 < self.m < self.n:
-            raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
         if isinstance(self.a, complex):
             raise ValueError(f"a must be real, got {self.a!r}")
         require_float(self.a)
         if not self.a > 0:
             raise ValueError("a must be positive")
+        self.as_trinomial()  # TrinomialSpec checks n and m
         if self.family == "R" and (self.m % 2 == 0 or self.n % 2 == 1):
             raise ParityViolated("R form requires m odd and n even")
         if self.family == "S" and self.n % 2 == 0:
@@ -410,8 +412,6 @@ def normalize(n: int, m: int, a: int, b: int) -> tuple[FamilyForm, bool]:
     b = _as_int(b)
     if a == 0 or b not in (-1, 1):
         raise ValueError("need a nonzero integer a and b = +/-1")
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     signs = (1 if a > 0 else -1, b)
     for flipped, pattern in ((False, signs), (True, _reflect(n, m, signs))):
         if pattern in _FAMILY_OF:

@@ -117,10 +117,13 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
     than 1e-15 (hi - lo) is never split; its error stays in the total.  A round
     is cut down to the splits that fit in _MAX_EVALS evaluations.  Raises
     QuadratureBudgetExceeded when not even one split fits and the summed panel
-    error estimate still exceeds the target.
+    error estimate still exceeds the target, and ValueError unless
+    0 <= tol < inf.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     pts = np.array(sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)}), dtype=float)
     val, err = _panels(f, pts[:-1], pts[1:])
     evals = 15 * len(val)

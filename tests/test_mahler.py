@@ -326,6 +326,16 @@ def test_measure_jensen_budget_propagates(monkeypatch):
         measure_jensen(TrinomialSpec(2, 1, 1, 1), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tol_outside_zero_to_infinity_is_refused(tol):
+    # tol = 0 stays legal: it refines until the budget is spent
+    for call in (lambda: integrate(np.log, 0.0, 1.0, tol=tol),
+                 lambda: measure_jensen(TrinomialSpec(5, 2, 3, 1), tol=tol),
+                 lambda: series_measure(5, 2, 3, 1, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            call()
+
+
 def test_series_preconditions():
     with pytest.raises(CoprimalityViolated):
         series_measure(4, 2, 3, 1)

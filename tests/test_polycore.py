@@ -17,6 +17,8 @@ from trinotool.errors import (
     ParityViolated,
     TrinotoolError,
 )
+from trinotool.factor import threshold_irreducible
+from trinotool.mahler import house, limit_measure, measure_from_roots, residue_term, series_measure
 from trinotool.polycore import (
     FamilyForm,
     IntPolynomial,
@@ -46,6 +48,35 @@ def test_trinomial_spec_validates():
         TrinomialSpec(3, 1, 0, 1)
     with pytest.raises(ValueError):
         TrinomialSpec(3, 1, 1, 0)
+
+
+_BAD_TRINOMIALS = {
+    "n-float": (6.0, 1, 3, 1),
+    "m-bool": (5, True, 3, 1),
+    "n-bool": (True, 1, 3, 1),
+    "m-equals-n": (5, 5, 3, 1),
+    "m-zero": (5, 0, 3, 1),
+    "a-bool": (5, 2, True, 1),
+}
+
+
+@pytest.mark.parametrize("row", _BAD_TRINOMIALS.values(), ids=_BAD_TRINOMIALS.keys())
+def test_every_raw_reader_refuses_what_trinomial_spec_refuses(row):
+    # TrinomialSpec states the trinomial rule once: each reader of a raw
+    # (n, m, a, b) raises its exception, of the same type with the same message
+    n, m, a, b = row
+    with pytest.raises((TypeError, ValueError)) as refused:
+        TrinomialSpec(n, m, a, b)
+    readers = [lambda: FamilyForm("T", n, m, a), lambda: series_measure(n, m, a, b),
+               lambda: residue_term(1, n, m, a, b), lambda: threshold_irreducible(n, m, a),
+               lambda: limit_measure(a, b) if a is True else normalize(n, m, a, b)]
+    for reader in readers:
+        with pytest.raises(Exception) as raised:
+            reader()
+        assert (raised.type, str(raised.value)) == (refused.type, str(refused.value))
+    if a is True:  # normalize reads a as an integer coefficient first
+        with pytest.raises(NonIntegerCoefficient):
+            normalize(n, m, a, b)
 
 
 def test_trinomial_gcd_accessor():
@@ -224,8 +255,10 @@ def test_all_roots_degree_one_and_zero_roots():
     nonzero = [r for r in rs.roots if r != 0]
     assert len(nonzero) == 7
     assert [abs(r) for r in nonzero] == pytest.approx([2 ** (1 / 7)] * 7, abs=1e-12)
-    with pytest.raises(ValueError):
-        all_roots(IntPolynomial.of([5]))
+    for p in (IntPolynomial.of([5]), IntPolynomial(())):
+        for solve in (all_roots, house, measure_from_roots):
+            with pytest.raises(ValueError, match="degree must be at least 1"):
+                solve(p)
 
 
 def test_all_roots_round_trip(rng):
