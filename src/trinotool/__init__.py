@@ -46,7 +46,6 @@ _EXPORTS = {
     ),
     "mahler": (
         "LimitCase",
-        "LimitRegime",
         "MeasureResult",
         "SeriesTerm",
         "house",
@@ -60,6 +59,7 @@ _EXPORTS = {
     "polycore": (
         "FamilyForm",
         "IntPolynomial",
+        "LimitRegime",
         "RootSet",
         "TrinomialSpec",
         "all_roots",

@@ -19,13 +19,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from math import comb, factorial, gcd, lgamma
 from typing import Union
 
 from . import polycore
 from .errors import CoprimalityViolated, DivergenceDetected, DominanceViolated
-from .polycore import IntPolynomial, RootSet, TrinomialSpec, np, require_float
+from .polycore import IntPolynomial, LimitRegime, RootSet, TrinomialSpec, np, require_float
 from .quadrature import DEFAULT_TOL, integrate
 
 _EPS = math.ulp(1.0)
@@ -41,13 +40,6 @@ class MeasureResult:
     method: str  # "roots" | "jensen" | "series" | "closed-form"
     error_bound: float
     terms: tuple["SeriesTerm", ...] | None = None
-
-
-class LimitRegime(Enum):
-    DOMINANT_A = "dominant-a"
-    DOMINANT_B = "dominant-b"
-    SUB_UNIT = "sub-unit"
-    OSCILLATORY = "oscillatory"
 
 
 @dataclass(frozen=True)
@@ -195,14 +187,10 @@ def limit_case(a: complex, b: complex) -> LimitCase:
     require_float(a, b)
     if a == 0 or b == 0:
         raise ValueError("a and b must be nonzero")
-    ra, rb = abs(a), abs(b)
-    if ra - rb >= 1.0:
-        return LimitCase(LimitRegime.DOMINANT_A)
-    if rb - ra >= 1.0:
-        return LimitCase(LimitRegime.DOMINANT_B)
-    if ra + rb <= 1.0:
-        return LimitCase(LimitRegime.SUB_UNIT)
-    sides = sorted((1.0, ra, rb), reverse=True)
+    regime, _ = polycore._regime(a, b)
+    if regime is not LimitRegime.OSCILLATORY:
+        return LimitCase(regime)
+    sides = sorted((1.0, abs(a), abs(b)), reverse=True)
     angles = list(_triangle_angles(*sides))
     del angles[sides.index(1.0)]
     return LimitCase(LimitRegime.OSCILLATORY, gamma=angles[0] + angles[1])
@@ -338,10 +326,8 @@ def _check_series_domain(n: int, m: int, a: complex, b: complex) -> None:
     if gcd(m, n) != 1:
         raise CoprimalityViolated(f"gcd({m}, {n}) = {gcd(m, n)} != 1")
     require_float(a, b)
-    if abs(a) - abs(b) < 1.0:
-        raise DominanceViolated(
-            f"series requires |a| - |b| >= 1, got {abs(a) - abs(b):.6g}"
-        )
+    if polycore._regime(a, b)[0] is not LimitRegime.DOMINANT_A:
+        raise DominanceViolated(f"series requires |a| - |b| >= 1, got {abs(a) - abs(b)!r}")
 
 
 def _sign_power(x: float, e: int) -> float:

@@ -26,18 +26,20 @@ points lie on the root circles of the upper Newton polygon of (0, log|b|),
 (m, log|a|), (n, 0) (Bini 1996, section 3), one evenly spaced ring per edge:
 with (m, log|a|) above the chord, m on (|b|/|a|)^(1/m) and n - m on
 |a|^(1/(n-m)); on or below it, n on |b|^(1/n).  The rings are turned by a
-fixed offset, except that with |a| > |b| + 1 the two rings sit at the angles
+fixed offset, except that with |a| - |b| > 1 the two rings sit at the angles
 of the proto-roots of a z^m + b and z^(n-m) + a, so the seeds are those roots.
-The boundary |a| = |b| + 1, where the repeated roots on the unit circle live,
+The boundary |a| - |b| = 1, where the repeated roots on the unit circle live,
 and dense input start on one generic circle instead: seeding the boundary on
 its hull moves the computed pair at the double root of (z +/- 1)^2 by up to
-9e-9, and dense input stays the independent side of the cross-check.  The
-iteration stops once every relative correction is below ``_ABERTH_TOL``, gives
-up after ``_MAX_ITER`` iterations, and certifies a root set whose residual
-bound is at most ``_CERT_TOL``; none of the three is a parameter.  The one
-kernel, ``_aberth``, iterates a batch of polynomials that share their
-exponents, each row stopping on its own: ``all_roots`` is its one-row case,
-and the scan solves the orbit leaders of one (n, m) in one call
+9e-9, and dense input stays the independent side of the cross-check.  Both
+tests read d = |a| - |b|, taken once in the operands' own arithmetic (ints
+stay exact) by ``_regime``, which ``mahler.limit_case`` and the series domain
+share.  The iteration stops once every relative correction is below
+``_ABERTH_TOL``, gives up after ``_MAX_ITER`` iterations, and certifies a root
+set whose residual bound is at most ``_CERT_TOL``; none of the three is a
+parameter.  The one kernel, ``_aberth``, iterates a batch of polynomials that
+share their exponents, each row stopping on its own: ``all_roots`` is its
+one-row case, and the scan solves the orbit leaders of one (n, m) in one call
 (``_all_roots_rows``), which costs a fraction of as many lone solves at small
 n, where numpy's per-call overhead dominates.
 
@@ -56,6 +58,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, replace
+from enum import Enum
 from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -145,6 +148,26 @@ class TrinomialSpec:
     @property
     def gcd_mn(self) -> int:
         return gcd(self.m, self.n)
+
+
+class LimitRegime(Enum):
+    DOMINANT_A = "dominant-a"
+    DOMINANT_B = "dominant-b"
+    SUB_UNIT = "sub-unit"
+    OSCILLATORY = "oscillatory"
+
+
+def _regime(a: complex, b: complex) -> tuple[LimitRegime, bool]:
+    """The large-n regime of (a, b), that is the side of the triangle
+    (1, |a|, |b|) that dominates, and whether |a| - |b| = 1 (module
+    docstring).  d <= -1 is |b| - |a| >= 1: IEEE subtraction is antisymmetric."""
+    ra, rb = abs(a), abs(b)
+    d = ra - rb
+    if d >= 1:
+        return LimitRegime.DOMINANT_A, d == 1
+    if d <= -1:
+        return LimitRegime.DOMINANT_B, False
+    return (LimitRegime.SUB_UNIT if ra + rb <= 1 else LimitRegime.OSCILLATORY), False
 
 
 _SIGNS = {"R": (-1, 1), "S": (1, -1), "T": (-1, -1)}  # (middle, constant) signs
@@ -443,22 +466,23 @@ def _ring(radius: float, k: int, phase: float) -> np.ndarray:
 
 def _initial_points(p: Union[IntPolynomial, TrinomialSpec], coeffs: list[complex],
                     n: int) -> np.ndarray:
-    """Aberth start points: a trinomial off the boundary |a| = |b| + 1 starts
+    """Aberth start points: a trinomial off the boundary |a| - |b| = 1 starts
     on the root circles of its upper Newton polygon, one ring per edge of the
     hull (module docstring); the boundary and dense input start on one
-    generic circle.  With |a| > |b| + 1, which always lies above the chord,
+    generic circle.  With |a| - |b| > 1, which always lies above the chord,
     the two rings sit at the proto-roots' angles: turned by the fixed offset,
-    the 672 such ``measure`` benchmark specs of seeds 3001-3010 took 8675
-    iterations, not 5672.  Elsewhere the proto-root angles of a real
+    the 686 such ``measure`` benchmark specs of seeds 3001-3010 took 5214
+    iterations, not 2160.  Elsewhere the proto-root angles of a real
     polynomial would be real and keep its iterates real (z^2 - 2z + 3), so
     the rings are turned by _SEED_PHASE, the outer one by pi/n more, or at
     m = n - m the two rings of equal radius would coincide."""
-    if isinstance(p, TrinomialSpec) and abs(p.a) != abs(p.b) + 1:
+    regime, boundary = _regime(p.a, p.b) if isinstance(p, TrinomialSpec) else (None, True)
+    if not boundary:
         m, d = p.m, p.n - p.m
         log_a, log_b = math.log(abs(p.a)), math.log(abs(p.b))
         if log_a <= log_b * d / n:  # (m, log|a|) on or below the chord: one edge
             return _ring(math.exp(log_b / n), n, _SEED_PHASE)
-        if abs(p.a) > abs(p.b) + 1:
+        if regime is LimitRegime.DOMINANT_A:
             inner, outer = cmath.phase(-p.b / p.a) / m, cmath.phase(-complex(p.a)) / d
         else:
             inner, outer = _SEED_PHASE, _SEED_PHASE + math.pi / n

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import coprime_pairs
+from trinotool import polycore
 from trinotool.errors import DivergenceDetected, DominanceViolated, TrinotoolError
 from trinotool.mahler import (
     house,
@@ -24,7 +25,7 @@ from trinotool.mahler import (
     measure_jensen,
     series_measure,
 )
-from trinotool.polycore import TrinomialSpec
+from trinotool.polycore import LimitRegime, TrinomialSpec
 
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
@@ -172,6 +173,45 @@ def test_limit_within_bound(pair):
                           [0, gamma])
         miss = abs(mpmath.exp(val / (2 * mpmath.pi)) - r.value)
     assert miss <= r.error_bound <= 1e-14 * r.value
+
+
+@st.composite
+def int_pairs(draw):
+    """Nonzero int pairs at and beside |a| = |b| + 1 and |b| = |a| + 1, up to
+    2^70, where a float would round."""
+    rb = draw(st.integers(1, 2**70))
+    ra = rb + draw(st.integers(-2, 2))
+    hypothesis.assume(ra > 0)
+    sign = st.sampled_from((-1, 1))
+    return draw(sign) * ra, draw(sign) * rb
+
+
+@st.composite
+def ulp_pairs(draw):
+    """Float pairs within two ulps of |a| = |b| + 1 or |b| = |a| + 1, where
+    fl(|a| - |b|) and fl(|b| + 1) can round apart."""
+    small, steps = draw(st.floats(1e-3, 4.0)), draw(st.integers(-2, 2))
+    big = small + 1.0
+    for _ in range(abs(steps)):
+        big = math.nextafter(big, math.copysign(math.inf, steps))
+    return (big, small) if draw(st.booleans()) else (small, -big)
+
+
+@hypothesis.settings(_SETTINGS, max_examples=200)
+@hypothesis.given(st.one_of(limit_pairs(), int_pairs(), ulp_pairs()))
+def test_one_regime_and_the_boundary_only_dominant_a(pair):
+    a, b = pair
+    regime, boundary = polycore._regime(a, b)
+    ra, rb = abs(a), abs(b)
+    holds = {LimitRegime.DOMINANT_A: ra - rb >= 1, LimitRegime.DOMINANT_B: rb - ra >= 1,
+             LimitRegime.SUB_UNIT: abs(ra - rb) < 1 and ra + rb <= 1,
+             LimitRegime.OSCILLATORY: abs(ra - rb) < 1 < ra + rb}
+    assert [r for r, held in holds.items() if held] == [regime]
+    assert limit_case(a, b).case is regime
+    assert boundary is (ra - rb == 1)
+    assert regime is LimitRegime.DOMINANT_A or not boundary
+    if isinstance(a, int) and isinstance(b, int):
+        assert boundary is (ra == rb + 1)
 
 
 @pytest.mark.parametrize("a, b", [(1e308, 1e308), (9e307, -9e307), (1.7e308, 1.7e308j),

@@ -12,13 +12,21 @@ from trinotool import polycore
 from trinotool.errors import (
     ClassificationMismatch,
     ConvergenceFailure,
+    DominanceViolated,
     NonIntegerCoefficient,
     NotRepresentable,
     ParityViolated,
     TrinotoolError,
 )
 from trinotool.factor import threshold_irreducible
-from trinotool.mahler import house, limit_measure, measure_from_roots, residue_term, series_measure
+from trinotool.mahler import (
+    house,
+    limit_case,
+    limit_measure,
+    measure_from_roots,
+    residue_term,
+    series_measure,
+)
 from trinotool.polycore import (
     FamilyForm,
     IntPolynomial,
@@ -380,6 +388,58 @@ def test_dominant_a_seeds_converge_fast():
     # instead of set at the proto-roots, 9 + 17 + 9 + 5
     specs = [(24, 5, -4, 1), (120, 41, -9, 1), (30, 7, 5.5, -2.25), (240, 77, 7.5, 0.3 + 0.2j)]
     assert sum(all_roots(TrinomialSpec(*s)).iterations for s in specs) <= 15
+
+
+_DOM_A, _DOM_B, _SUB, _OSC = (polycore.LimitRegime.DOMINANT_A, polycore.LimitRegime.DOMINANT_B,
+                              polycore.LimitRegime.SUB_UNIT, polycore.LimitRegime.OSCILLATORY)
+
+
+def _seed_rule(a, b):
+    """Which start points z^7 + a z^3 + b gets: the generic circle, whose
+    radii vary, or hull rings of one radius each, turned by _SEED_PHASE or at
+    the proto-roots' angles."""
+    spec = TrinomialSpec(7, 3, a, b)
+    z = polycore._initial_points(spec, polycore._terms(spec)[1], 7)
+    inner = np.abs(z[:3])
+    if np.ptp(inner) > 1e-12 * inner[0]:
+        return "generic"
+    return "rings" if cmath.phase(z[0]) == pytest.approx(polycore._SEED_PHASE) else "proto"
+
+
+@pytest.mark.parametrize("a, b, regime, boundary", [
+    # float pairs where fl(|a| - |b|) and fl(|b| + 1) disagree: the seeds
+    # took |a| = |b| + 1 as the boundary while limit_case and the series
+    # read |a| - |b| = 1 - 2^-52, 1 - 2^-53 and 1 + 2^-50
+    (-2.60023067790629, 1.6002306779062903, _OSC, False),
+    (1.0003254398005414, 0.00032543980054152225, _OSC, False),
+    (8.756030146989954, 7.756030146989953, _DOM_A, False),
+    # on the lines |a| - |b| = 1, |b| - |a| = 1 and |a| + |b| = 1
+    (2, 1, _DOM_A, True), (-2, 1, _DOM_A, True), (2, -1, _DOM_A, True), (-2, -1, _DOM_A, True),
+    (3, 2, _DOM_A, True), (1, 2, _DOM_B, False),
+    (3 + 4j, 4j, _DOM_A, True), (4j, 3 + 4j, _DOM_B, False), (0.3 + 0.4j, 0.5j, _SUB, False),
+    # beside them
+    (3, 1, _DOM_A, False), (math.nextafter(2.0, 3), 1, _DOM_A, False),
+    (math.nextafter(2.0, 0), 1, _OSC, False), (1, math.nextafter(2.0, 3), _DOM_B, False),
+    (1, math.nextafter(2.0, 0), _OSC, False), (1, 3, _DOM_B, False),
+    (0.3, 0.7 - 1e-9, _SUB, False), (0.3, 0.7 + 1e-9, _OSC, False),
+    (0.3 + 0.4j, 0.5j * (1 + 1e-9), _OSC, False), (0.3 + 0.4j, 0.5j * (1 - 1e-9), _SUB, False),
+])
+def test_one_triangle_rule_for_the_limit_the_series_and_the_seeds(a, b, regime, boundary):
+    assert polycore._regime(a, b) == (regime, boundary)
+    assert limit_case(a, b).case is regime
+    try:
+        series_measure(7, 3, a, b)
+        refused = False
+    except DominanceViolated:
+        refused = True
+    assert refused is (regime is not _DOM_A)
+    assert _seed_rule(a, b) == ("generic" if boundary else "proto" if regime is _DOM_A
+                                else "rings")
+
+
+def test_series_refusal_prints_the_unrounded_difference():
+    with pytest.raises(DominanceViolated, match=r"got 0\.9999999999999998$"):
+        series_measure(7, 3, -2.60023067790629, 1.6002306779062903)
 
 
 def test_all_roots_deterministic():
